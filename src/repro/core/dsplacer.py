@@ -498,7 +498,7 @@ class DSPlacer:
                     placement = best.copy()
                 break
             budget_hit = False
-            with trace.span("place.outer", i=outer):
+            with trace.span("place.outer", i=outer) as outer_sp:
                 try:
                     t0 = time.perf_counter()
                     if cfg.congestion_weight > 0:
@@ -563,6 +563,7 @@ class DSPlacer:
 
             if placement.is_legal():
                 hpwl = placement.hpwl()
+                outer_sp.set(hpwl_um=hpwl)
                 if hpwl < best_hpwl:
                     best = placement.copy()
                     best_hpwl = hpwl

@@ -27,6 +27,7 @@ SECTIONS = {
     "ablation_gcn_depth": ("Ablation A8 — GCN depth vs MLP", "§V-B"),
     "systolic_extension": ("Extension — systolic arrays", "§I (R-SAD)"),
     "freq_sweep": ("Extension — WNS vs clock sweep", "§V-C protocol"),
+    "clock_skew": ("Extension — skew-aware assignment on the slot fabric", "—"),
     "seed_robustness": ("Robustness — seed sensitivity", "—"),
     "router_models": ("Infrastructure — router model agreement", "—"),
     "bench_hotpaths": ("Infrastructure — hot-path timings", "—"),

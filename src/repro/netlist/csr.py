@@ -22,12 +22,22 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from repro.netlist.cell import CellType
 from repro.netlist.netlist import Netlist
 
 
 #: Site-family order of the per-cell ``site_code`` array.
 SITE_KIND_CODES = ("CLB", "DSP", "BRAM", "FIXED")
 _SITE_CODE = {k: i for i, k in enumerate(SITE_KIND_CODES)}
+#: Cell-kind order of the per-cell ``ctype_code`` array.
+CELL_TYPE_CODES = tuple(CellType)
+_CTYPE_CODE = {t: i for i, t in enumerate(CELL_TYPE_CODES)}
+# per-kind properties indexed by ctype code: the per-cell masks are gathers
+_IS_DSP = np.array([t.is_dsp for t in CELL_TYPE_CODES])
+_IS_STORAGE = np.array([t.is_storage for t in CELL_TYPE_CODES])
+_SITE_OF_CTYPE = np.array(
+    [_SITE_CODE[t.site_kind] for t in CELL_TYPE_CODES], dtype=np.int8
+)
 
 
 def _binary_csr(rows: np.ndarray, cols: np.ndarray, n: int) -> sp.csr_matrix:
@@ -54,6 +64,9 @@ class NetlistCSR:
         is_fixed: Per-cell ``Cell.is_fixed`` mask (has a device-pinned xy).
         site_code: Per-cell site-family code, index into
             :data:`SITE_KIND_CODES` (``("CLB", "DSP", "BRAM", "FIXED")``).
+        ctype_code: Per-cell kind code, index into :data:`CELL_TYPE_CODES`
+            (``CellType`` declaration order) — per-kind tables such as the
+            placer's cell areas become one gather.
         net_driver: Per-net driver cell index.
         net_nsinks: Per-net sink count (fanout).
         sink_flat: All net sinks concatenated in net order.
@@ -77,6 +90,7 @@ class NetlistCSR:
     is_storage: np.ndarray
     is_fixed: np.ndarray
     site_code: np.ndarray
+    ctype_code: np.ndarray
     net_driver: np.ndarray
     net_nsinks: np.ndarray
     sink_flat: np.ndarray
@@ -148,14 +162,13 @@ def build_csr(netlist: Netlist) -> NetlistCSR:
     undirected = (directed + directed.T).tocsr()
     undirected.data[:] = 1.0
 
-    is_dsp = np.fromiter((c.ctype.is_dsp for c in netlist.cells), dtype=bool, count=n)
-    is_storage = np.fromiter(
-        (c.ctype.is_storage for c in netlist.cells), dtype=bool, count=n
+    ctype_code = np.fromiter(
+        (_CTYPE_CODE[c.ctype] for c in netlist.cells), dtype=np.int8, count=n
     )
+    is_dsp = _IS_DSP[ctype_code]
+    is_storage = _IS_STORAGE[ctype_code]
+    site_code = _SITE_OF_CTYPE[ctype_code]
     is_fixed = np.fromiter((c.is_fixed for c in netlist.cells), dtype=bool, count=n)
-    site_code = np.fromiter(
-        (_SITE_CODE[c.ctype.site_kind] for c in netlist.cells), dtype=np.int8, count=n
-    )
     return NetlistCSR(
         n=n,
         version=getattr(netlist, "_version", 0),
@@ -168,6 +181,7 @@ def build_csr(netlist: Netlist) -> NetlistCSR:
         is_storage=is_storage,
         is_fixed=is_fixed,
         site_code=site_code,
+        ctype_code=ctype_code,
         net_driver=net_driver,
         net_nsinks=net_nsinks,
         sink_flat=sink_flat,

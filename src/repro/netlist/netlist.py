@@ -137,7 +137,9 @@ class Netlist:
         return [c for c in self.cells if c.ctype is ctype]
 
     def dsp_indices(self) -> list[int]:
-        return [c.index for c in self.cells if c.ctype.is_dsp]
+        from repro.netlist.csr import get_csr  # csr imports this module
+
+        return get_csr(self).dsp_indices.tolist()
 
     def movable_indices(self) -> list[int]:
         return [c.index for c in self.cells if not c.is_fixed]

@@ -12,7 +12,9 @@ UTPlaceF, AMF-Placer all share this skeleton):
 
 The engine also supports *incremental* mode: an arbitrary movable mask plus
 warm-start positions, which is how DSPlacer alternates "fix datapath DSPs,
-re-place everything else" (paper Fig. 6).
+re-place everything else" (paper Fig. 6). A warm start skips step 1's
+unanchored solve — which would collapse the given placement — and runs the
+anchored loop from the given coordinates.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.fpga.device import Device
-from repro.netlist.csr import get_csr
+from repro.netlist.csr import CELL_TYPE_CODES, get_csr
 from repro.netlist.graph import connectivity_matrix
 from repro.netlist.netlist import Netlist
 from repro.obs import metrics, trace
@@ -33,6 +35,8 @@ from repro.placers.placement import Placement
 
 #: Approximate site area demand per cell kind, in CLB-cell units.
 CELL_AREA = {"LUT": 1.0, "LUTRAM": 1.5, "FF": 1.0, "CARRY": 1.0, "DSP": 8.0, "BRAM": 12.0}
+#: ``CELL_AREA`` indexed by ``NetlistCSR.ctype_code`` (unlisted kinds: 1.0).
+_AREA_BY_CODE = np.array([CELL_AREA.get(t.value, 1.0) for t in CELL_TYPE_CODES])
 
 
 @dataclass(frozen=True)
@@ -91,8 +95,11 @@ class QuadraticGlobalPlacer:
         """Produce a (continuous, possibly overlapping) global placement.
 
         Args:
-            placement: Warm start; non-movable cells keep these coordinates
-                and act as fixed boundary conditions.
+            placement: Warm start: the anchored spreading loop starts from
+                these coordinates instead of an unanchored bootstrap solve;
+                non-movable cells keep them and act as fixed boundary
+                conditions. Without it every movable cell starts at the
+                fabric centre and the bootstrap solve runs first.
             movable_mask: Which cells to move. Defaults to all non-fixed
                 cells.
 
@@ -100,7 +107,11 @@ class QuadraticGlobalPlacer:
             A new :class:`Placement` with updated coordinates for movable
             cells (sites are *not* assigned — run a legalizer next).
         """
-        with trace.span("global_place", n_iterations=self.config.n_iterations):
+        with trace.span(
+            "global_place",
+            n_iterations=self.config.n_iterations,
+            warm_start=placement is not None,
+        ):
             metrics.inc("global_place.solves")
             return self._place_impl(netlist, device, placement, movable_mask)
 
@@ -113,13 +124,13 @@ class QuadraticGlobalPlacer:
     ) -> Placement:
         cfg = self.config
         n = len(netlist.cells)
+        ctx = get_csr(netlist)
         place = placement.copy() if placement is not None else Placement(netlist, device)
+        placeable = ~ctx.is_fixed  # fixed cells can never move
         if movable_mask is None:
-            movable_mask = np.array([not c.is_fixed for c in netlist.cells])
-        movable_mask = np.asarray(movable_mask, dtype=bool)
-        for cell in netlist.cells:  # fixed cells can never move
-            if cell.is_fixed:
-                movable_mask[cell.index] = False
+            movable_mask = placeable
+        else:
+            movable_mask = np.asarray(movable_mask, dtype=bool) & placeable
         mov = np.flatnonzero(movable_mask)
         if mov.size == 0:
             return place
@@ -131,9 +142,7 @@ class QuadraticGlobalPlacer:
         fix = np.flatnonzero(~movable_mask)
         w_mf = w[mov][:, fix].tocsr()
 
-        areas = np.array(
-            [CELL_AREA.get(netlist.cells[i].ctype.value, 1.0) for i in mov]
-        )
+        areas = _AREA_BY_CODE[ctx.ctype_code[mov]]
         rng = np.random.default_rng(cfg.seed)
         # tiny jitter breaks exact ties so the spreading has gradients to use
         xy_f = place.xy[fix]
@@ -154,7 +163,6 @@ class QuadraticGlobalPlacer:
 
         use_b2b = cfg.net_model == "b2b"
         if use_b2b:
-            ctx = get_csr(netlist)
             if cfg.use_net_weights:
                 net_w = np.fromiter(
                     (net.weight for net in netlist.nets),
@@ -197,10 +205,15 @@ class QuadraticGlobalPlacer:
                 sols.append(sol)
             return np.column_stack(sols)
 
-        # bootstrap solve: always the clique model (B2B has no gradients while
-        # every movable cell still sits collapsed at the fabric centre)
-        with trace.span("global_place.solve", net_model="clique", bootstrap=True):
-            pos = _solve(0.0, None)
+        if placement is None:
+            # cold start: an unanchored bootstrap solve, always the clique
+            # model (B2B has no gradients while every movable cell still
+            # sits collapsed at the fabric centre)
+            with trace.span("global_place.solve", net_model="clique", bootstrap=True):
+                pos = _solve(0.0, None)
+        else:
+            # warm start: the anchored loop spreads from the given positions
+            pos = place.xy[mov].copy()
         pos += rng.normal(scale=1.0, size=pos.shape)
         alpha = cfg.anchor_weight
         for _ in range(cfg.n_iterations):

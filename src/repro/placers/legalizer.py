@@ -27,9 +27,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fpga.device import Device
-from repro.netlist.cell import CellType
+from repro.netlist.csr import SITE_KIND_CODES, get_csr
 from repro.obs import metrics, trace
 from repro.placers.placement import Placement
+
+_CLB = SITE_KIND_CODES.index("CLB")
+_BRAM = SITE_KIND_CODES.index("BRAM")
 
 
 class Legalizer:
@@ -50,9 +53,8 @@ class Legalizer:
     # ------------------------------------------------------------------
     def legalize(self, placement: Placement, movable_mask: np.ndarray | None = None) -> Placement:
         """Legalize all placeable cells in-place; returns the placement."""
-        nl = placement.netlist
         if movable_mask is None:
-            movable_mask = np.array([not c.is_fixed for c in nl.cells])
+            movable_mask = ~get_csr(placement.netlist).is_fixed
         movable_mask = np.asarray(movable_mask, dtype=bool)
         with trace.span("legalize", method=self.method):
             metrics.inc("legalize.passes")
@@ -65,17 +67,11 @@ class Legalizer:
     def legalize_dsps(self, placement: Placement, movable_mask: np.ndarray) -> None:
         dev = self.device
         nl = placement.netlist
-        n_sites = dev.n_sites("DSP")
-        occupied = np.zeros(n_sites, dtype=bool)
-        dsp_cells = [c for c in nl.cells if c.ctype.is_dsp]
-        for c in dsp_cells:
-            if movable_mask[c.index]:
-                placement.site[c.index] = -1
-            elif placement.site[c.index] >= 0:
-                occupied[placement.site[c.index]] = True
+        occupied = np.zeros(dev.n_sites("DSP"), dtype=bool)
         # everything without a site gets (re)placed, including locked cells
         # that were never legalized
-        movable = [c for c in dsp_cells if placement.site[c.index] < 0]
+        movable, kept = _release(placement, get_csr(nl).dsp_indices, movable_mask)
+        occupied[kept] = True
 
         # macros first, longest first (hardest to fit)
         in_macro: set[int] = set()
@@ -108,10 +104,8 @@ class Legalizer:
                         occupied[placement.site[i]] = False
                         placement.site[i] = -1
             self._dense_pack_macros(placement, occupied, todo_macros)
-        singles = [c.index for c in movable if c.index not in in_macro]
-        # bottom-up for deterministic packing
-        singles.sort(key=lambda i: (placement.xy[i, 1], placement.xy[i, 0]))
-        self._assign_singles(placement, "DSP", singles, occupied)
+        singles = movable[~np.isin(movable, list(in_macro))]
+        self._assign_singles(placement, "DSP", _bottom_up(placement, singles), occupied)
 
     def _place_macro(
         self,
@@ -209,19 +203,10 @@ class Legalizer:
         dev = self.device
         nl = placement.netlist
         occupied = np.zeros(dev.n_sites("BRAM"), dtype=bool)
-        todo = []
-        for c in nl.cells:
-            if c.ctype is not CellType.BRAM:
-                continue
-            if movable_mask[c.index]:
-                placement.site[c.index] = -1
-                todo.append(c.index)
-            elif placement.site[c.index] >= 0:
-                occupied[placement.site[c.index]] = True
-            else:
-                todo.append(c.index)
-        todo.sort(key=lambda i: (placement.xy[i, 1], placement.xy[i, 0]))
-        self._assign_singles(placement, "BRAM", todo, occupied)
+        bram = np.flatnonzero(get_csr(nl).site_code == _BRAM)
+        todo, kept = _release(placement, bram, movable_mask)
+        occupied[kept] = True
+        self._assign_singles(placement, "BRAM", _bottom_up(placement, todo), occupied)
 
     def _assign_singles(
         self, placement: Placement, kind: str, todo: list[int], occupied: np.ndarray
@@ -296,21 +281,14 @@ class Legalizer:
         load = np.zeros(dev.n_sites("CLB"), dtype=np.int64)
         col_start = np.cumsum([0] + [c.n_sites for c in cols])
 
-        todo: list[int] = []
-        for c in nl.cells:
-            if c.ctype.site_kind != "CLB" or c.is_fixed:
-                continue
-            if movable_mask[c.index]:
-                placement.site[c.index] = -1
-                todo.append(c.index)
-            elif placement.site[c.index] >= 0:
-                load[placement.site[c.index]] += 1
-            else:
-                todo.append(c.index)
+        ctx = get_csr(nl)
+        clb = np.flatnonzero((ctx.site_code == _CLB) & ~ctx.is_fixed)
+        todo, kept = _release(placement, clb, movable_mask)
+        np.add.at(load, kept, 1)
         if sum(c.n_sites for c in cols) * cap < load.sum() + len(todo):
             raise ValueError("design does not fit the device's CLB capacity")
 
-        xys = placement.xy[todo] if todo else np.zeros((0, 2))
+        xys = placement.xy[todo]
         # nearest column and row per cell, vectorized
         ci = np.searchsorted(col_x, xys[:, 0])
         ci = np.clip(ci, 0, len(cols) - 1)
@@ -406,10 +384,26 @@ class Legalizer:
             load_l[sid] += 1
             sites[pos] = sid
         load[:] = load_l
-        if todo:
-            idx_arr = np.asarray(todo, dtype=np.int64)
-            placement.site[idx_arr] = sites
-            placement.xy[idx_arr] = self.device.site_xy("CLB")[sites]
+        if len(todo):
+            placement.site[todo] = sites
+            placement.xy[todo] = self.device.site_xy("CLB")[sites]
+
+
+def _release(
+    placement: Placement, cells: np.ndarray, movable_mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unsite the movable ``cells``; return (every unsited cell in index
+    order, the sites the locked sited cells keep)."""
+    placement.site[cells[movable_mask[cells]]] = -1
+    sid = placement.site[cells]
+    return cells[sid < 0], sid[sid >= 0]
+
+
+def _bottom_up(placement: Placement, cells: np.ndarray) -> list[int]:
+    """``cells`` ordered by (y, x), ties kept in index order (stable) — the
+    deterministic greedy order of the single-site assignment."""
+    xy = placement.xy[cells]
+    return cells[np.lexsort((xy[:, 0], xy[:, 1]))].tolist()
 
 
 def _spiral():

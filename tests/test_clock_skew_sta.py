@@ -374,17 +374,35 @@ class TestAssignmentSkewTerm:
         result = DSPlacer(dev, cfg).place(nl)
         assert result.placement.is_legal()
 
-    def test_skew_weighted_run_escapes_hpwl_rollback(self):
+    def test_skew_weighted_run_escapes_hpwl_rollback(self, monkeypatch):
         """The wirelength rollback guard must not veto skew-aware trades.
 
-        At skynet@0.05 on the slot fabric the datapath placement costs a
-        little HPWL: the skew-blind flow rolls back to the prototype, the
-        skew-weighted flow keeps its last legal iterate.
+        The Fig. 6 re-place is stubbed to return a legal placement whose
+        HPWL is far above the prototype's (the CLB cells' sites are
+        shuffled among themselves, so every site keeps its load): the
+        skew-blind flow rolls back to the prototype, the skew-weighted flow
+        keeps its last legal iterate.
         """
+        import repro.core.dsplacer as dsplacer_mod
         from repro.accelgen import generate_suite
         from repro.core import DSPlacer
         from repro.core.dsplacer import DSPlacerConfig
+        from repro.netlist.csr import SITE_KIND_CODES, get_csr
 
+        def scrambled_replace(netlist, device, placement, frozen_dsps, **_):
+            out = placement.copy()
+            ctx = get_csr(netlist)
+            clb = np.flatnonzero(
+                (ctx.site_code == SITE_KIND_CODES.index("CLB")) & ~ctx.is_fixed
+            )
+            sites = np.random.default_rng(0).permutation(out.site[clb])
+            out.site[clb] = sites
+            out.xy[clb] = device.site_xy("CLB")[sites]
+            assert out.is_legal()
+            assert out.hpwl() > placement.hpwl()
+            return out
+
+        monkeypatch.setattr(dsplacer_mod, "replace_other_components", scrambled_replace)
         dev = slot_fabric(0.05)
         nl = generate_suite("skynet", scale=0.05, device=dev, seed=0)
         blind = DSPlacer(

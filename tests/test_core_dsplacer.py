@@ -114,3 +114,27 @@ class TestIncrementalReplace:
         out = replace_other_components(mini_accel, small_dev, base, frozen)
         assert np.array_equal(out.site[frozen], before)
         assert out.is_legal()
+
+    def test_warm_started_replace_on_generated_suite(self):
+        """skynet@0.05 on the ZCU104: the warm-started re-place (no
+        bootstrap solve) still returns a legal placement around the frozen
+        datapath DSPs."""
+        from repro import obs
+        from repro.accelgen import generate_suite
+        from repro.fpga import zcu104
+
+        dev = zcu104()
+        nl = generate_suite("skynet", scale=0.05, device=dev, seed=0)
+        base = VivadoLikePlacer(seed=0, device=dev).place(nl)
+        frozen = [c.index for c in nl.cells if c.ctype.is_dsp and c.is_datapath]
+        assert frozen
+        before = base.site[frozen].copy()
+        with obs.observe() as ob:
+            out = replace_other_components(nl, dev, base, frozen)
+        assert out.is_legal(), out.legality_violations()[:5]
+        assert np.array_equal(out.site[frozen], before)
+        (gp,) = ob.tracer.find("global_place")
+        assert gp.attrs["warm_start"] is True
+        assert not any(
+            s.attrs.get("bootstrap") for s in ob.tracer.find("global_place.solve")
+        )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.netlist import CellType, Netlist, build_csr, get_csr, netlist_to_digraph
+from repro.netlist.csr import CELL_TYPE_CODES
 
 
 @pytest.fixture()
@@ -45,6 +46,25 @@ class TestConstruction:
         assert ctx.dsp_indices.tolist() == [4]
         assert ctx.is_dsp[4] and not ctx.is_dsp[0]
         assert ctx.is_storage[5] and not ctx.is_storage[4]
+
+    def test_kind_gathers_match_per_cell_properties(self):
+        """Every per-cell mask gathered through ``ctype_code`` equals the
+        per-cell ``CellType`` property, for every cell kind."""
+        n = Netlist("kinds")
+        for t in CellType:
+            fixed = (1.0, 2.0) if t.is_fixed else None
+            n.add_cell(f"{t.value}0", t, fixed_xy=fixed)
+        n.add_cell("lut_pinned", CellType.LUT, fixed_xy=(3.0, 4.0))
+        ctx = get_csr(n)
+        cells = n.cells
+        codes = ("CLB", "DSP", "BRAM", "FIXED")
+        assert [CELL_TYPE_CODES[k] for k in ctx.ctype_code] == [c.ctype for c in cells]
+        assert ctx.is_dsp.tolist() == [c.ctype.is_dsp for c in cells]
+        assert ctx.is_storage.tolist() == [c.ctype.is_storage for c in cells]
+        assert [codes[k] for k in ctx.site_code] == [c.ctype.site_kind for c in cells]
+        assert ctx.is_fixed.tolist() == [c.is_fixed for c in cells]
+        assert n.dsp_indices() == [c.index for c in cells if c.ctype.is_dsp]
+        assert all(type(i) is int for i in n.dsp_indices())
 
     def test_edge_arrays_keep_multi_edges(self, nl):
         ctx = get_csr(nl)

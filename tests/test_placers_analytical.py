@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.placers import GlobalPlaceConfig, Placement, QuadraticGlobalPlacer
-from repro.placers.analytical import _equalize, _push_out_of_ps
+from repro import obs
+from repro.netlist.csr import get_csr
+from repro.placers import GlobalPlaceConfig, Legalizer, Placement, QuadraticGlobalPlacer
+from repro.placers.analytical import (
+    _AREA_BY_CODE,
+    CELL_AREA,
+    _equalize,
+    _push_out_of_ps,
+)
 
 
 class TestEqualize:
@@ -98,3 +105,41 @@ class TestGlobalPlacer:
         mov = mini_accel.movable_indices()
         # with a 1.5x virtual fabric some cells land beyond the real device
         assert place.xy[mov, 0].max() > small_dev.width
+
+
+class TestWarmStart:
+    """A given placement replaces the unanchored bootstrap solve."""
+
+    @staticmethod
+    def _traced_place(netlist, dev, **kw):
+        cfg = GlobalPlaceConfig(n_iterations=2)
+        with obs.observe() as ob:
+            out = QuadraticGlobalPlacer(cfg).place(netlist, dev, **kw)
+        solves = ob.tracer.find("global_place.solve")
+        (gp,) = ob.tracer.find("global_place")
+        return out, gp, solves
+
+    def test_cold_start_bootstraps_once(self, mini_accel, small_dev):
+        _, gp, solves = self._traced_place(mini_accel, small_dev)
+        assert gp.attrs["warm_start"] is False
+        assert [s.attrs.get("bootstrap", False) for s in solves] == [True, False, False]
+
+    def test_warm_start_skips_bootstrap(self, mini_accel, small_dev):
+        cold, _, _ = self._traced_place(mini_accel, small_dev)
+        Legalizer(small_dev).legalize(cold)
+        out, gp, solves = self._traced_place(mini_accel, small_dev, placement=cold)
+        assert gp.attrs["warm_start"] is True
+        assert len(solves) == 2
+        assert not any(s.attrs.get("bootstrap") for s in solves)
+        mov = mini_accel.movable_indices()
+        assert np.isfinite(out.xy[mov]).all()
+
+
+class TestCellAreaGather:
+    def test_area_by_code_matches_cell_area_lookup(self, mini_accel, tiny_netlist):
+        for nl in (mini_accel, tiny_netlist):
+            expected = np.array(
+                [CELL_AREA.get(c.ctype.value, 1.0) for c in nl.cells]
+            )
+            got = _AREA_BY_CODE[get_csr(nl).ctype_code]
+            assert np.array_equal(got, expected)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.placers import Placement
+from repro.placers import Legalizer, Placement
 
 
 @pytest.fixture()
@@ -122,3 +122,56 @@ class TestLegality:
         ps = tiny_netlist.cell_by_name("ps").index
         place.xy[ps] = (999.0, 999.0)
         assert any("fixed" in s for s in place.legality_violations())
+
+
+class TestSeededViolationMessages:
+    """``legality_violations`` reads its structure from the shared CSR
+    gathers; every seeded violation must still come out with its exact
+    message, per-cell ones in cell order, then site over-capacity, then
+    cascade breaks."""
+
+    @pytest.fixture()
+    def legal(self, tiny_netlist, small_dev):
+        p = Legalizer(small_dev).legalize(Placement(tiny_netlist, small_dev))
+        assert p.legality_violations() == []
+        return p
+
+    def test_each_seeded_violation_reported_verbatim(self, legal, tiny_netlist, small_dev):
+        cell = tiny_netlist.cell_by_name
+        ps, d0, d4, d5 = (cell(n).index for n in ("ps", "dsp0", "dsp4", "dsp5"))
+        sites = small_dev.sites("DSP")
+        # moved fixed cell
+        legal.xy[ps] = (999.0, 999.0)
+        # double-booked DSP site: the single control DSP onto dsp0's site
+        shared = int(legal.site[d0])
+        legal.assign_site(d5, shared)
+        # broken cascade: macro 1's tail leaves its column
+        d3_site = sites[int(legal.site[cell("dsp3").index])]
+        free = set(range(len(sites))) - set(legal.site[legal.site >= 0].tolist())
+        other = min(s for s in free if sites[s].col != d3_site.col)
+        legal.assign_site(d4, other)
+        assert legal.legality_violations() == [
+            "fixed cell ps moved",
+            f"DSP site {shared} holds 2 cells (cap 1)",
+            f"macro 1 spans columns {sorted({d3_site.col, sites[other].col})}",
+        ]
+        assert not legal.is_legal()
+
+    def test_rows_gap_and_unsited_cell_messages(self, legal, tiny_netlist, small_dev):
+        cell = tiny_netlist.cell_by_name
+        d2, lut = (cell(n).index for n in ("dsp2", "lut3"))
+        sites = small_dev.sites("DSP")
+        col = sites[int(legal.site[d2])].col
+        col_ids = small_dev.column_site_ids("DSP", col)
+        used = set(legal.site[legal.site >= 0].tolist())
+        row2 = sites[int(legal.site[d2])].row
+        gap = min(
+            int(s) for s in col_ids if int(s) not in used and sites[int(s)].row > row2 + 1
+        )
+        legal.assign_site(d2, gap)
+        legal.site[lut] = -1
+        rows = [sites[int(legal.site[cell(n).index])].row for n in ("dsp0", "dsp1", "dsp2")]
+        assert legal.legality_violations() == [
+            "lut3: no legal CLB site",
+            f"macro 0 rows not consecutive: {rows}",
+        ]

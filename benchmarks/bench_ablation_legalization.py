@@ -11,6 +11,7 @@ import numpy as np
 from repro.core.placement import CascadeLegalizer
 from repro.eval import render_table
 from repro.eval.experiments import get_device, get_netlist
+from repro.robustness import EVERY_CALL, FaultInjector, inject
 
 
 def _desired(netlist, device, seed):
@@ -32,7 +33,8 @@ def test_ablation_legalization(benchmark, settings, emit):
             netlist = get_netlist(settings, suite)
             desired = _desired(netlist, device, settings.seed)
             ilp = CascadeLegalizer(netlist, device).legalize(desired)
-            greedy = CascadeLegalizer(netlist, device, max_ilp_nodes=0).legalize(desired)
+            with inject(FaultInjector().fail_on("legalization.ilp", call=EVERY_CALL)):
+                greedy = CascadeLegalizer(netlist, device).legalize(desired)
             out.append((netlist.name, ilp, greedy))
         return out
 

@@ -11,7 +11,6 @@ import pytest
 from repro.solvers import (
     ColumnBlock,
     MinCostFlow,
-    hungarian,
     legalize_column_rows,
     min_cost_assignment,
     solve_ilp,
@@ -34,13 +33,6 @@ def test_bench_mcf_assignment(benchmark, assignment_instance):
     n, m, arcs = assignment_instance
     result = benchmark(min_cost_assignment, n, m, arcs)
     assert len(result) == n
-
-
-def test_bench_hungarian_dense(benchmark):
-    rng = np.random.default_rng(1)
-    cost = rng.uniform(0, 100, (80, 120))
-    cols, total = benchmark(hungarian, cost)
-    assert len(set(cols.tolist())) == 80
 
 
 def test_bench_mcf_raw_flow(benchmark):

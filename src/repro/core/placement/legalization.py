@@ -6,8 +6,9 @@ occupy consecutive rows of one column; this stage enforces it exactly:
 1. **inter-column ILP** (eq. 10): each entity — a whole cascade macro
    (constraint 10b forces its members into one column, so the macro is one
    decision variable) or a single DSP — is assigned to a column, minimizing
-   horizontal displacement under column capacities. Solved with this repo's
-   branch-and-bound ILP; a greedy fallback covers node-limit blowups.
+   horizontal displacement under column capacities. Solved with HiGHS
+   (:func:`~repro.solvers.ilp.solve_ilp`, ``scipy.optimize.milp``) on
+   sparse constraints; a greedy fallback covers a node-limit miss.
 2. **intra-column legalization** (eq. 11): per column, entities become
    rigid :class:`~repro.solvers.isotonic.ColumnBlock`s ordered by desired
    vertical position (macros by their mean y, per the paper), and the exact
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from repro.errors import LegalizationError, SolverConvergenceError, SolverError
 from repro.fpga.device import Device
@@ -28,8 +30,83 @@ from repro.netlist.netlist import Netlist
 from repro.obs import metrics, trace
 from repro.robustness.faults import maybe_fault
 from repro.robustness.guard import SolverGuard
-from repro.solvers.ilp import solve_ilp
+from repro.solvers.ilp import ILPResult, solve_ilp
 from repro.solvers.isotonic import ColumnBlock, legalize_column_rows
+
+
+#: HiGHS node budget of the eq. (10) solve; past it the greedy fallback runs
+ILP_NODE_LIMIT = 20_000
+
+
+def eq10_problem(entity_x, sizes, col_x, caps) -> dict:
+    """The eq. (10) inter-column ILP as :func:`solve_ilp` keyword arguments.
+
+    Variable ``i * ncol + j`` is t_ij (entity i in column j). The cost is
+    D_col(i, j) = size_i · |x_i − X_j|; ``A_eq`` holds Σ_j t_ij = 1 per
+    entity and ``A_ub`` holds Σ_i size_i · t_ij ≤ M_j per column.
+    """
+    entity_x = np.asarray(entity_x, dtype=np.float64)
+    sizes = np.asarray(sizes, dtype=np.float64)
+    col_x = np.asarray(col_x, dtype=np.float64)
+    n, ncol = entity_x.size, col_x.size
+    var = np.arange(n * ncol)
+    entity, col = np.divmod(var, ncol)
+    return dict(
+        c=(np.abs(entity_x[:, None] - col_x[None, :]) * sizes[:, None]).ravel(),
+        A_ub=csr_matrix((sizes[entity], (col, var)), shape=(ncol, n * ncol)),
+        b_ub=np.asarray(caps, dtype=np.float64),
+        A_eq=csr_matrix((np.ones(n * ncol), (entity, var)), shape=(n, n * ncol)),
+        b_eq=np.ones(n),
+    )
+
+
+def assign_columns(
+    entity_x, sizes, col_x, caps, guard: SolverGuard | None = None
+) -> tuple[list[int], bool, ILPResult | None]:
+    """Assign each entity a column: the eq. (10) ILP, then greedy.
+
+    Returns the column of each entity, whether the ILP's answer was used,
+    and the ILP result (``None`` when the solve never returned).
+    """
+    n, ncol = len(entity_x), len(col_x)
+    col_x = np.asarray(col_x, dtype=np.float64)
+    ilp: ILPResult | None = None
+
+    def _ilp() -> list[int]:
+        nonlocal ilp
+        maybe_fault("legalization.ilp")
+        ilp = solve_ilp(**eq10_problem(entity_x, sizes, col_x, caps), max_nodes=ILP_NODE_LIMIT)
+        if not ilp.ok:
+            raise SolverConvergenceError(
+                f"inter-column ILP gave up ({ilp.status}) after {ilp.n_nodes} nodes"
+            )
+        return np.argmax(ilp.x.reshape(n, ncol), axis=1).tolist()
+
+    def _greedy() -> list[int]:
+        # biggest entities first, nearest column with room
+        maybe_fault("legalization.greedy")
+        order = sorted(range(n), key=lambda i: -sizes[i])
+        free = list(caps)
+        col_of = [0] * n
+        for i in order:
+            ranked = np.argsort(np.abs(col_x - entity_x[i]))
+            for j in ranked:
+                if free[j] >= sizes[i]:
+                    free[j] -= sizes[i]
+                    col_of[i] = int(j)
+                    break
+            else:
+                raise LegalizationError("greedy inter-column fallback failed to fit entities")
+        return col_of
+
+    attempts = [("ilp", _ilp), ("greedy", _greedy)]
+    if guard is not None:
+        name, col_of = guard.run(attempts)
+        return col_of, name == "ilp", ilp
+    try:
+        return _ilp(), True, ilp
+    except SolverError:
+        return _greedy(), False, ilp
 
 
 @dataclass(frozen=True)
@@ -62,10 +139,9 @@ class LegalizationResult:
 class CascadeLegalizer:
     """Legalizes a set of DSPs (desired coordinates → legal cascade sites)."""
 
-    def __init__(self, netlist: Netlist, device: Device, max_ilp_nodes: int = 20_000) -> None:
+    def __init__(self, netlist: Netlist, device: Device) -> None:
         self.netlist = netlist
         self.device = device
-        self.max_ilp_nodes = max_ilp_nodes
 
     # ------------------------------------------------------------------
     def legalize(
@@ -89,8 +165,20 @@ class CascadeLegalizer:
         metrics.gauge("legalization.entities", len(entities))
 
         with trace.span("legalization.inter_column", n_entities=len(entities)) as ic_sp:
-            col_of, used_ilp, ilp_nodes = self._inter_column(entities, cols, caps, guard)
-            ic_sp.set(used_ilp=used_ilp, ilp_nodes=ilp_nodes)
+            col_of, used_ilp, ilp = assign_columns(
+                [e.x for e in entities],
+                [e.size for e in entities],
+                [c.x for c in cols],
+                caps,
+                guard,
+            )
+            ilp_nodes = ilp.n_nodes if ilp is not None else 0
+            ic_sp.set(
+                used_ilp=used_ilp,
+                ilp_nodes=ilp_nodes,
+                ilp_status=ilp.status if ilp is not None else "not_run",
+                ilp_gap=ilp.gap if ilp is not None else None,
+            )
         metrics.inc("legalization.ilp_used" if used_ilp else "legalization.greedy_used")
         site_of: dict[int, int] = {}
         total_disp = 0.0
@@ -130,80 +218,6 @@ class CascadeLegalizer:
             if idx not in covered:
                 entities.append(_Entity(cells=(idx,), x=float(x), ys=(float(y),)))
         return entities
-
-    # ------------------------------------------------------------------
-    def _inter_column(
-        self,
-        entities: list[_Entity],
-        cols,
-        caps: list[int],
-        guard: SolverGuard | None = None,
-    ) -> tuple[list[int], bool, int]:
-        n, ncol = len(entities), len(cols)
-        col_x = np.array([c.x for c in cols])
-        sizes = np.array([e.size for e in entities], dtype=np.float64)
-        ilp_nodes = 0
-
-        def _ilp() -> list[int]:
-            nonlocal ilp_nodes
-            maybe_fault("legalization.ilp")
-            disp = np.abs(np.array([e.x for e in entities])[:, None] - col_x[None, :])
-            cost = (disp * sizes[:, None]).ravel()  # D_col(i, j) (eq. 10)
-            # Σ_j t_ij = 1 per entity
-            a_eq = np.zeros((n, n * ncol))
-            for i in range(n):
-                a_eq[i, i * ncol : (i + 1) * ncol] = 1.0
-            b_eq = np.ones(n)
-            # Σ_i size_i · t_ij ≤ M_j per column
-            a_ub = np.zeros((ncol, n * ncol))
-            for j in range(ncol):
-                a_ub[j, j::ncol] = sizes
-            b_ub = np.array(caps, dtype=np.float64)
-            res = solve_ilp(
-                cost,
-                A_ub=a_ub,
-                b_ub=b_ub,
-                A_eq=a_eq,
-                b_eq=b_eq,
-                bounds=[(0.0, 1.0)] * (n * ncol),
-                max_nodes=self.max_ilp_nodes,
-            )
-            ilp_nodes = res.n_nodes
-            if not res.ok:
-                raise SolverConvergenceError(
-                    f"inter-column ILP gave up ({res.status}) after "
-                    f"{res.n_nodes} of {self.max_ilp_nodes} nodes"
-                )
-            x = res.x.reshape(n, ncol)
-            return [int(np.argmax(row)) for row in x]
-
-        def _greedy() -> list[int]:
-            # biggest entities first, nearest column with room
-            maybe_fault("legalization.greedy")
-            order = sorted(range(n), key=lambda i: -entities[i].size)
-            free = list(caps)
-            col_of = [0] * n
-            for i in order:
-                ranked = np.argsort(np.abs(col_x - entities[i].x))
-                for j in ranked:
-                    if free[j] >= entities[i].size:
-                        free[j] -= entities[i].size
-                        col_of[i] = int(j)
-                        break
-                else:
-                    raise LegalizationError(
-                        "greedy inter-column fallback failed to fit entities"
-                    )
-            return col_of
-
-        attempts = [("ilp", _ilp), ("greedy", _greedy)]
-        if guard is not None:
-            name, col_of = guard.run(attempts)
-            return col_of, name == "ilp", ilp_nodes
-        try:
-            return _ilp(), True, ilp_nodes
-        except SolverError:
-            return _greedy(), False, ilp_nodes
 
     # ------------------------------------------------------------------
     def _intra_column(self, members: list[_Entity], col_j: int, site_of: dict[int, int]) -> float:

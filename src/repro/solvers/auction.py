@@ -1,14 +1,14 @@
 """Bertsekas ε-scaling auction algorithm for dense assignment.
 
-A third assignment engine alongside the min-cost flow and the Hungarian
-reference. The auction mechanism is naturally vectorizable (every
+A third assignment engine alongside the min-cost flow and scipy's
+``linear_sum_assignment``. The auction mechanism is naturally vectorizable (every
 unassigned agent bids simultaneously via two numpy reductions).
 
 Optimality contract: the returned assignment is **ε-optimal** — its cost is
 within ``n × eps_min`` of the optimum (Bertsekas' classic bound). For
 integer costs and ``eps_min < 1/(n+1)`` that bound implies exact
 optimality; for float costs choose ``eps_min`` to the tolerance you need.
-The test suite checks both regimes against the Hungarian oracle.
+The test suite checks both regimes against ``linear_sum_assignment``.
 """
 
 from __future__ import annotations

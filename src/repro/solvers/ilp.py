@@ -1,26 +1,19 @@
-"""Branch-and-bound integer linear programming.
+"""Mixed-integer linear programming with HiGHS (``scipy.optimize.milp``).
 
-Replaces the Gurobi dependency for the cascade legalization ILPs (eq. 10).
-LP relaxations are solved with scipy's HiGHS (``linprog``); the
-dependency-free :mod:`repro.solvers.simplex` engine can be selected for
-cross-checking. Best-first search with most-fractional branching.
+Replaces the Gurobi dependency for the cascade legalization ILP (eq. 10).
+HiGHS runs its own branch-and-cut; this module only maps its result onto
+:class:`ILPResult` and the repo's typed errors.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
 
-from repro.errors import SolverInputError
+from repro.errors import SolverConvergenceError, SolverInputError
 from repro.obs import metrics
-from repro.solvers.simplex import solve_lp_simplex
-
-_INT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -31,101 +24,69 @@ class ILPResult:
     x: np.ndarray | None
     objective: float | None
     n_nodes: int
+    gap: float | None = None  # HiGHS relative MIP gap of the incumbent, if any
 
     @property
     def ok(self) -> bool:
         return self.status == "optimal"
 
 
-def _solve_relaxation(c, A_ub, b_ub, A_eq, b_eq, bounds, engine):
-    if engine == "highs":
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
-        if res.status == 0:
-            return "optimal", res.x, float(res.fun)
-        if res.status == 2:
-            return "infeasible", None, None
-        if res.status == 3:
-            return "unbounded", None, None
-        return "infeasible", None, None
-    res = solve_lp_simplex(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=list(bounds))
-    return res.status, res.x, res.objective
-
-
 def solve_ilp(
     c: np.ndarray,
-    A_ub: np.ndarray | None = None,
+    A_ub=None,
     b_ub: np.ndarray | None = None,
-    A_eq: np.ndarray | None = None,
+    A_eq=None,
     b_eq: np.ndarray | None = None,
     bounds: list[tuple[float, float]] | None = None,
     integrality: np.ndarray | None = None,
     max_nodes: int = 200_000,
-    engine: str = "highs",
 ) -> ILPResult:
     """min c@x s.t. A_ub x <= b_ub, A_eq x = b_eq, bounds, x[i] integer where marked.
 
     Args:
+        A_ub, A_eq: Dense arrays or scipy sparse matrices.
         integrality: Boolean mask; ``None`` marks every variable integer.
-        max_nodes: Branch-and-bound node budget; exceeding it returns the
-            incumbent (status ``"node_limit"``) or ``"infeasible"``.
-        engine: ``"highs"`` (scipy) or ``"simplex"`` (this repo's solver).
+        max_nodes: HiGHS branch-and-bound node budget; exceeding it returns
+            the incumbent, if any, with status ``"node_limit"``.
 
     Returns:
         :class:`ILPResult` with the optimal integral solution when found.
+
+    Raises:
+        SolverInputError: The problem is unbounded.
+        SolverConvergenceError: HiGHS failed for any other reason.
     """
     c = np.asarray(c, dtype=np.float64)
     n = c.size
-    bounds = list(bounds) if bounds is not None else [(0.0, 1.0)] * n
-    integrality = (
-        np.ones(n, dtype=bool) if integrality is None else np.asarray(integrality, dtype=bool)
-    )
+    lb, ub = np.asarray(bounds if bounds is not None else [(0.0, 1.0)] * n, dtype=np.float64).T
+    integrality = np.ones(n) if integrality is None else np.asarray(integrality, dtype=np.uint8)
+    constraints = []
+    if A_ub is not None:
+        constraints.append(LinearConstraint(A_ub, -np.inf, b_ub))
+    if A_eq is not None:
+        constraints.append(LinearConstraint(A_eq, b_eq, b_eq))
 
     metrics.inc("ilp.solves")
     metrics.inc("ilp.variables", n)
-    best_x: np.ndarray | None = None
-    best_obj = math.inf
-    n_nodes = 0
-    counter = itertools.count()
-    status, x0, obj0 = _solve_relaxation(c, A_ub, b_ub, A_eq, b_eq, bounds, engine)
-    if status == "infeasible":
-        return ILPResult("infeasible", None, None, 1)
-    if status == "unbounded":
-        raise SolverInputError("ILP relaxation is unbounded; add finite bounds")
-    heap: list[tuple[float, int, list[tuple[float, float]], ]] = [(obj0, next(counter), bounds)]
-
-    while heap and n_nodes < max_nodes:
-        lb, _, nb = heapq.heappop(heap)
-        if lb >= best_obj - 1e-9:
-            continue
-        status, x, obj = _solve_relaxation(c, A_ub, b_ub, A_eq, b_eq, nb, engine)
-        n_nodes += 1
-        if status != "optimal" or obj >= best_obj - 1e-9:
-            continue
-        frac = np.abs(x - np.round(x))
-        frac[~integrality] = 0.0
-        j = int(np.argmax(frac))
-        if frac[j] <= _INT_TOL:
-            x_int = np.where(integrality, np.round(x), x)
-            obj_int = float(c @ x_int)
-            if obj_int < best_obj - 1e-12:
-                best_obj = obj_int
-                best_x = x_int
-            continue
-        lo_j, hi_j = nb[j]
-        floor_j = math.floor(x[j])
-        down = list(nb)
-        down[j] = (lo_j, float(floor_j))
-        up = list(nb)
-        up[j] = (float(floor_j + 1), hi_j)
-        for child in (down, up):
-            if child[j][0] <= child[j][1]:
-                heapq.heappush(heap, (obj, next(counter), child))
-
+    res = milp(
+        c,
+        constraints=constraints,
+        bounds=Bounds(lb, ub),
+        integrality=integrality,
+        options={"node_limit": max_nodes},
+    )
+    n_nodes = int(res.mip_node_count or 0)
     metrics.inc("ilp.nodes_explored", n_nodes)
-    if best_x is None:
-        return ILPResult("infeasible" if not heap else "node_limit", None, None, n_nodes)
-    status = "optimal" if not heap or n_nodes < max_nodes else "node_limit"
-    # If we exhausted the heap, the incumbent is proven optimal.
-    if not heap:
-        status = "optimal"
-    return ILPResult(status, best_x, best_obj, n_nodes)
+    # HiGHS reports a node limit as "Solution limit reached" (scipy status 4)
+    limit = res.status == 1 or "limit reached" in res.message
+    if res.status == 0 or (limit and res.x is not None):  # a limit keeps HiGHS's incumbent
+        x = np.where(integrality, np.round(res.x), res.x)
+        status = "optimal" if res.status == 0 else "node_limit"
+        return ILPResult(status, x, float(res.fun), n_nodes, float(res.mip_gap))
+    if limit:
+        return ILPResult("node_limit", None, None, n_nodes)
+    if res.status == 2:
+        return ILPResult("infeasible", None, None, n_nodes)
+    if res.status == 3 or "unbounded" in res.message:
+        raise SolverInputError("ILP is unbounded; add finite bounds")
+    raise SolverConvergenceError(f"HiGHS failed: {res.message}")

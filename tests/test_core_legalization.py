@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.placement import CascadeLegalizer
 from repro.netlist import CellType, Netlist
+from repro.robustness import EVERY_CALL, FaultInjector, inject
 
 
 def _netlist_with_macros(chain_lens, n_singles=0):
@@ -83,14 +85,23 @@ class TestLegalize:
     def test_uses_ilp_by_default(self, small_dev):
         nl = _netlist_with_macros([3, 2])
         desired = {c.index: (150.0, 150.0) for c in nl.cells if c.ctype.is_dsp}
-        res = CascadeLegalizer(nl, small_dev).legalize(desired)
+        with obs.observe() as ob:
+            res = CascadeLegalizer(nl, small_dev).legalize(desired)
         assert res.used_ilp
+        (sp,) = ob.tracer.find("legalization.inter_column")
+        assert sp.attrs["used_ilp"] is True and sp.attrs["ilp_status"] == "optimal"
+        assert sp.attrs["ilp_nodes"] == res.ilp_nodes and sp.attrs["ilp_gap"] == 0.0
 
     def test_greedy_fallback_still_legal(self, small_dev):
         nl = _netlist_with_macros([3, 2], n_singles=2)
         desired = {c.index: (150.0, 150.0) for c in nl.cells if c.ctype.is_dsp}
-        res = CascadeLegalizer(nl, small_dev, max_ilp_nodes=0).legalize(desired)
+        with obs.observe() as ob, inject(
+            FaultInjector().fail_on("legalization.ilp", call=EVERY_CALL)
+        ):
+            res = CascadeLegalizer(nl, small_dev).legalize(desired)
         assert not res.used_ilp
+        (sp,) = ob.tracer.find("legalization.inter_column")
+        assert sp.attrs["ilp_status"] == "not_run" and sp.attrs["ilp_gap"] is None
         assert len(set(res.site_of.values())) == len(res.site_of)
         sites = small_dev.sites("DSP")
         for m in nl.macros:

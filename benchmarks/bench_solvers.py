@@ -1,8 +1,8 @@
 """Micro-benchmarks of the optimization substrate.
 
 These are true pytest-benchmark timings (multiple rounds) for the solvers
-the DSPlacer inner loop leans on — useful to spot regressions in the pure
-Python kernels.
+the DSPlacer inner loop leans on — useful to spot regressions in the
+assignment, intra-column DP and ILP kernels.
 """
 
 import numpy as np
@@ -10,7 +10,6 @@ import pytest
 
 from repro.solvers import (
     ColumnBlock,
-    MinCostFlow,
     legalize_column_rows,
     min_cost_assignment,
     solve_ilp,
@@ -33,20 +32,6 @@ def test_bench_mcf_assignment(benchmark, assignment_instance):
     n, m, arcs = assignment_instance
     result = benchmark(min_cost_assignment, n, m, arcs)
     assert len(result) == n
-
-
-def test_bench_mcf_raw_flow(benchmark):
-    def run():
-        rng = np.random.default_rng(2)
-        net = MinCostFlow(200)
-        for _ in range(1200):
-            u, v = rng.integers(0, 200, 2)
-            if u != v:
-                net.add_edge(int(u), int(v), int(rng.integers(1, 5)), float(rng.uniform(0, 10)))
-        return net.min_cost_flow(0, 199)
-
-    flow, cost = benchmark(run)
-    assert flow >= 0
 
 
 def test_bench_intra_column_dp(benchmark):

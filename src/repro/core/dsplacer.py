@@ -46,7 +46,12 @@ from repro.core.extraction.identification import (
     DatapathIdentifier,
     IdentificationResult,
 )
-from repro.core.placement.assignment import AssignmentConfig, DatapathDSPAssigner
+from repro.core.placement.assignment import (
+    ENGINE_FALLBACK_ORDER,
+    AssignmentConfig,
+    DatapathDSPAssigner,
+    check_engine,
+)
 from repro.core.placement.incremental import replace_other_components
 from repro.core.placement.legalization import CascadeLegalizer
 from repro.errors import ConfigurationError, NetlistValidationError, ReproError
@@ -89,14 +94,14 @@ class DSPlacerConfig:
     mcf_iterations: int = 50
     outer_iterations: int = 2
     iddfs_max_depth: int = 6
-    #: Per-iterate assignment solver. "mcf" = this repo's successive-
-    #: shortest-paths min-cost flow (the paper's formulation, solved by
-    #: LEMON's C++ network simplex there); "lsa" = scipy's Hungarian;
+    #: Per-iterate assignment solver. "mcf" = the paper's min-cost-flow
+    #: formulation (LEMON's network simplex there) over K-nearest candidate
+    #: windows, solved by scipy's sparse LAPJVsp; "lsa" = dense LAPJV on
+    #: the full cost matrix (``scipy.optimize.linear_sum_assignment``);
     #: "auction" = this repo's vectorized ε-auction (ε-optimal; degrades to
     #: price wars on near-tied dense rows, so not the default). All solve
     #: the same linearized assignment — cross-checked in the tests — and
-    #: "auto" picks mcf for small instances and lsa above 64 datapath DSPs,
-    #: standing in for LEMON's C++ speed.
+    #: "auto" picks mcf for small instances and lsa above 64 datapath DSPs.
     assignment_engine: str = "auto"
     #: > 0 enables the congestion-aware extension: DSP sites in overloaded
     #: routing bins are surcharged during assignment (see
@@ -126,6 +131,14 @@ class DSPlacerConfig:
     #: invocation; ``None`` disables budgets. Cooperative: checked between
     #: solver attempts and linearization iterates, never preemptive.
     stage_budget_s: float | None = None
+
+    def __post_init__(self) -> None:
+        check_engine(self.assignment_engine, ("auto", *ENGINE_FALLBACK_ORDER))
+        if self.outer_iterations < 1:
+            raise ConfigurationError(
+                f"outer_iterations must be >= 1, got {self.outer_iterations} "
+                "(DSP placement runs inside the outer iterations)"
+            )
 
     # -- serialization --------------------------------------------------
     def to_dict(self) -> dict:

@@ -6,7 +6,7 @@ Each node gets the paper's seven-dimensional feature vector:
 (d) indegree, (e) outdegree, (f) betweenness centrality, and (g) — DSP
 nodes only — the average shortest-path distance to other DSP nodes.
 
-The default backend computes everything on the shared
+Everything is computed on the shared
 :class:`~repro.netlist.csr.NetlistCSR` context with compiled/vectorized
 kernels: degrees from CSR ``indptr`` diffs, feedback loops via
 ``csgraph.connected_components(connection="strong")``, closeness and
@@ -14,9 +14,9 @@ eccentricity from the dense BFS distance matrix, and betweenness via the
 level-synchronous Brandes kernel (:mod:`repro.core.extraction.brandes`).
 On netlists above ``exact_threshold`` nodes the standard pivot-sampling
 approximations kick in (distances from ``n_pivots`` BFS sources, Brandes
-over sampled pivots). ``FeatureConfig(backend="networkx")`` selects the
-original pure-Python networkx implementation, kept as the equivalence-test
-reference (Definitions 1–3 / Fig. 4).
+over sampled pivots). The pure-Python networkx implementation in
+``tests/oracles/features.py`` pins the exact branch (Definitions 1–3 /
+Fig. 4).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from repro.core.extraction.brandes import betweenness_csr
@@ -42,8 +41,6 @@ FEATURE_NAMES = (
     "avg_dsp_dist",
 )
 
-BACKENDS = ("kernels", "networkx")
-
 
 @dataclass(frozen=True)
 class FeatureConfig:
@@ -52,21 +49,12 @@ class FeatureConfig:
     n_pivots: int = 48
     exact_threshold: int = 2500
     seed: int = 0
-    backend: str = "kernels"
-
-    def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}; choose from {BACKENDS}")
 
 
 def extract_node_features(netlist: Netlist, config: FeatureConfig | None = None) -> np.ndarray:
     """Compute the ``(n_cells, 7)`` feature matrix of a netlist graph."""
     config = config or FeatureConfig()
-    with trace.span(
-        "extraction.features", n_cells=len(netlist.cells), backend=config.backend
-    ):
-        if config.backend == "networkx":
-            return _features_networkx(netlist, config)
+    with trace.span("extraction.features", n_cells=len(netlist.cells)):
         return _features_impl(netlist, config)
 
 
@@ -154,86 +142,6 @@ def _features_impl(netlist: Netlist, config: FeatureConfig) -> np.ndarray:
     feats[:, 5] = betweenness_csr(adj, sources=bw_sources, normalized=True)
 
     # (g) avg shortest-path distance to other DSPs ≈ via DSP pivots
-    if dsp_nodes.size >= 2:
-        kd = min(config.n_pivots, dsp_nodes.size)
-        dsp_pivots = rng.choice(dsp_nodes, size=kd, replace=False)
-        ddist = csgraph.dijkstra(adj, indices=dsp_pivots, unweighted=True)[:, dsp_nodes]
-        dfinite = np.isfinite(ddist)
-        dsums = np.where(dfinite, ddist, 0.0).sum(axis=0)
-        dcounts = np.maximum(dfinite.sum(axis=0), 1)
-        feats[dsp_nodes, 6] = dsums / dcounts
-    return feats
-
-
-# ----------------------------------------------------------------------
-# networkx reference backend (pure Python; the equivalence-test pin)
-# ----------------------------------------------------------------------
-
-
-def _unweighted_csr_nx(g, n: int) -> sp.csr_matrix:
-    rows, cols = [], []
-    for u, v in g.edges:
-        rows.append(u)
-        cols.append(v)
-    data = np.ones(len(rows))
-    a = sp.coo_matrix((data, (rows, cols)), shape=(n, n))
-    a = a + a.T  # undirected view for distances
-    a.data[:] = 1.0
-    return a.tocsr()
-
-
-def _features_networkx(netlist: Netlist, config: FeatureConfig) -> np.ndarray:
-    import networkx as nx
-
-    from repro.netlist.graph import netlist_to_digraph
-
-    g = netlist_to_digraph(netlist)
-    n = len(netlist.cells)
-    feats = np.zeros((n, len(FEATURE_NAMES)))
-    if n == 0:
-        return feats
-
-    feats[:, 3] = [g.in_degree(i) for i in range(n)]
-    feats[:, 4] = [g.out_degree(i) for i in range(n)]
-
-    for comp in nx.strongly_connected_components(g):
-        if len(comp) > 1:
-            for u in comp:
-                feats[u, 1] = 1.0
-
-    dsp_nodes = np.array(netlist.dsp_indices(), dtype=np.int64)
-    if n <= config.exact_threshold:
-        ug = g.to_undirected(reciprocal=False)
-        closeness = nx.closeness_centrality(ug)
-        betweenness = nx.betweenness_centrality(ug, normalized=True)
-        feats[:, 0] = [closeness[i] for i in range(n)]
-        feats[:, 5] = [betweenness[i] for i in range(n)]
-        dist = csgraph.shortest_path(_unweighted_csr_nx(g, n), method="D", unweighted=True)
-        finite = np.isfinite(dist)
-        feats[:, 2] = np.where(finite, dist, 0.0).max(axis=1)
-        if dsp_nodes.size:
-            dd = dist[np.ix_(dsp_nodes, dsp_nodes)]
-            mask = np.isfinite(dd)
-            np.fill_diagonal(mask, False)
-            sums = np.where(mask, dd, 0.0).sum(axis=1)
-            counts = mask.sum(axis=1)
-            feats[dsp_nodes, 6] = np.where(
-                counts > 0, sums / np.maximum(counts, 1), 0.0
-            )
-        return feats
-
-    rng = np.random.default_rng(config.seed)
-    adj = _unweighted_csr_nx(g, n)
-    k = min(config.n_pivots, n)
-    pivots = rng.choice(n, size=k, replace=False)
-    dist = csgraph.dijkstra(adj, indices=pivots, unweighted=True)
-    feats[:, 0] = _sampled_closeness(dist, pivots, n, k)
-    feats[:, 2] = np.where(np.isfinite(dist), dist, 0.0).max(axis=0)
-
-    ug = g.to_undirected(reciprocal=False)
-    bw = nx.betweenness_centrality(ug, k=min(k, n - 1), normalized=True, seed=int(config.seed))
-    feats[:, 5] = [bw[i] for i in range(n)]
-
     if dsp_nodes.size >= 2:
         kd = min(config.n_pivots, dsp_nodes.size)
         dsp_pivots = rng.choice(dsp_nodes, size=kd, replace=False)

@@ -8,19 +8,15 @@ follows signal direction (driver → sink), stops when it reaches another DSP
 very-high-fanout nets (clock/reset/enable broadcast, never datapath), and
 records the distance and the number of storage cells along each found path.
 
-Two engines produce identical results:
+The search runs as a depth-bounded multi-source level-synchronous BFS over
+the fanout-filtered CSR adjacency from the shared
+:class:`~repro.netlist.csr.NetlistCSR` context: per-(source, node) shortest
+distance and minimum storage count propagate through frontier matrices with
+batched numpy gathers/scatters, over blocks of DSP sources. Its result is
+the paper's IDDFS result exactly — the per-source iterative-deepening
+oracle in ``tests/oracles/iddfs.py`` pins it in the property tests.
 
-- ``method="bfs"`` (default) — a depth-bounded multi-source level-synchronous
-  BFS over the fanout-filtered CSR adjacency from the shared
-  :class:`~repro.netlist.csr.NetlistCSR` context. Per-(source, node)
-  shortest distance and minimum storage count propagate through frontier
-  matrices with batched numpy gathers/scatters, over blocks of DSP sources.
-- ``method="python"`` — the paper-faithful per-source iterative-deepening
-  DFS, kept as the property-test reference. It stops deepening as soon as
-  no node's shortest distance equals the current limit (the frontier stopped
-  growing, so no deeper path can exist through an unexplored node).
-
-Both record, per reached (src, dst) pair, the shortest distance and the
+Per reached (src, dst) pair it records the shortest distance and the
 *minimum* storage count over the shortest paths — a deterministic quantity
 (the old DFS recorded whichever shortest path it happened to walk first).
 """
@@ -34,8 +30,6 @@ import numpy as np
 from repro.netlist.csr import get_csr
 from repro.netlist.netlist import Netlist
 from repro.obs import metrics, trace
-
-METHODS = ("bfs", "python")
 
 #: sources per BFS block; bounds the dense (block, n_cells) work arrays
 _BLOCK = 256
@@ -56,7 +50,6 @@ def iddfs_dsp_paths(
     max_depth: int = 6,
     max_fanout: int = 16,
     sources: list[int] | None = None,
-    method: str = "bfs",
 ) -> list[DSPPath]:
     """All shortest DSP→DSP paths up to ``max_depth`` netlist hops.
 
@@ -65,19 +58,13 @@ def iddfs_dsp_paths(
             adder trees) are short, control broadcast is not.
         max_fanout: Nets wider than this are not traversed.
         sources: Restrict path search to these source DSPs.
-        method: ``"bfs"`` (batched kernel) or ``"python"`` (IDDFS reference).
 
     Returns:
         One :class:`DSPPath` per (src, dst) pair found — shortest distance,
         minimum storage count over the shortest paths — sorted by (src, dst).
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    with trace.span("extraction.iddfs", max_depth=max_depth, method=method) as sp:
-        if method == "bfs":
-            out = _bfs_impl(netlist, max_depth, max_fanout, sources)
-        else:
-            out = _iddfs_impl(netlist, max_depth, max_fanout, sources)
+    with trace.span("extraction.iddfs", max_depth=max_depth) as sp:
+        out = _bfs_impl(netlist, max_depth, max_fanout, sources)
         sp.set(n_paths=len(out))
     metrics.inc("extraction.iddfs.paths", len(out))
     return out
@@ -170,82 +157,5 @@ def _bfs_impl(
         for keys in touched:
             dflat[keys] = -1
             sflat[keys] = unreached
-    out.sort(key=lambda p: (p.src, p.dst))
-    return out
-
-
-# ----------------------------------------------------------------------
-# pure-Python iterative-deepening reference
-# ----------------------------------------------------------------------
-
-
-def _iddfs_single_source(
-    adj: list[list[int]],
-    is_dsp: list[bool],
-    is_storage: list[bool],
-    src: int,
-    max_depth: int,
-) -> tuple[dict[int, tuple[int, int]], int]:
-    """IDDFS from one source; returns ``(found, deepest_limit_run)``.
-
-    ``found`` maps destination DSPs to the lexicographically minimal
-    ``(dist, n_storage)`` label. Deepening stops early once no node's
-    shortest distance equals the current limit: every longer path must pass
-    through an interior node at exactly the limit depth, so an empty "new at
-    the limit" frontier proves deeper limits cannot discover anything.
-    """
-    found: dict[int, tuple[int, int]] = {}
-    limit = 0
-    for limit in range(1, max_depth + 1):
-        # depth-limited DFS with lexicographic (depth, storage) pruning: a
-        # node is re-expanded whenever reached with a strictly better label
-        best: dict[int, tuple[int, int]] = {src: (0, 0)}
-        stack: list[tuple[int, int, int]] = [(src, 0, 0)]
-        while stack:
-            node, depth, storage = stack.pop()
-            if depth >= limit:
-                continue
-            for nxt in adj[node]:
-                nd = depth + 1
-                if is_dsp[nxt]:
-                    if nxt != src:
-                        label = (nd, storage)
-                        prev = found.get(nxt)
-                        if prev is None or label < prev:
-                            found[nxt] = label
-                    continue  # do not pass through DSPs
-                label = (nd, storage + (1 if is_storage[nxt] else 0))
-                prev = best.get(nxt)
-                if prev is not None and prev <= label:
-                    continue
-                best[nxt] = label
-                stack.append((nxt, *label))
-        if not any(d == limit for d, _ in best.values()):
-            break  # frontier stopped growing; deeper search cannot find more
-    return found, limit
-
-
-def _iddfs_impl(
-    netlist: Netlist,
-    max_depth: int,
-    max_fanout: int,
-    sources: list[int] | None,
-) -> list[DSPPath]:
-    adj: list[list[int]] = [[] for _ in netlist.cells]
-    for net in netlist.nets:
-        if len(net.sinks) > max_fanout:
-            continue
-        for s in net.sinks:
-            adj[net.driver].append(s)
-
-    is_dsp = [c.ctype.is_dsp for c in netlist.cells]
-    is_storage = [c.ctype.is_storage for c in netlist.cells]
-    dsps = sources if sources is not None else netlist.dsp_indices()
-
-    out: list[DSPPath] = []
-    for src in dsps:
-        found, _ = _iddfs_single_source(adj, is_dsp, is_storage, src, max_depth)
-        for dst, (dist, storage) in found.items():
-            out.append(DSPPath(src=src, dst=dst, dist=dist, n_storage=storage))
     out.sort(key=lambda p: (p.src, p.dst))
     return out

@@ -18,9 +18,10 @@ cost:
 Each iterate is an assignment problem under constraints (4); its constraint
 matrix is totally unimodular, so the min-cost-flow solution is integral.
 The ``engine`` knob selects the MCF formulation over K-nearest candidate
-arcs (paper-faithful; solved by the compiled sparse kernel in
-:mod:`repro.solvers.mcf`) or a dense Hungarian solve (`scipy`) — both
-exact, cross-checked in the tests.
+arcs (paper-faithful; solved by scipy's sparse LAPJVsp in
+:mod:`repro.solvers.mcf`), a dense LAPJV solve of the full cost matrix
+(``scipy.optimize.linear_sum_assignment``), or the ε-auction — the first
+two exact, all three cross-checked in the tests.
 
 The whole iterate is vectorized (see ``docs/PERFORMANCE.md``): neighbour
 lists live in padded ``(N, K)`` index/weight matrices built once in
@@ -59,10 +60,17 @@ from repro.solvers.mcf import min_cost_assignment
 ENGINE_FALLBACK_ORDER = ("lsa", "mcf", "auction")
 
 
+def check_engine(engine: str, allowed: tuple[str, ...] = ENGINE_FALLBACK_ORDER) -> None:
+    """Raise :class:`ConfigurationError` unless ``engine`` is in ``allowed``."""
+    if engine not in allowed:
+        raise ConfigurationError(
+            f"unknown assignment engine {engine!r}; choose from {', '.join(allowed)}"
+        )
+
+
 def engine_chain(primary: str) -> list[str]:
     """The deterministic engine fallback chain starting at ``primary``."""
-    if primary not in ("mcf", "lsa", "auction"):
-        raise ConfigurationError(f"unknown assignment engine {primary!r}")
+    check_engine(primary)
     return [primary] + [e for e in ENGINE_FALLBACK_ORDER if e != primary]
 
 
@@ -84,9 +92,11 @@ class AssignmentConfig:
     #: consecutive linearization iterates
     patience: int = 3
     max_neighbors: int = 32
-    #: per-iterate assignment solver: "mcf" (this repo's successive
-    #: shortest paths — the paper's formulation), "lsa" (scipy Hungarian),
-    #: or "auction" (this repo's ε-auction; exact to auction_tol)
+    #: per-iterate assignment solver: "mcf" (the paper's min-cost-flow
+    #: formulation over K-nearest candidate windows, solved by scipy's
+    #: sparse LAPJVsp), "lsa" (dense LAPJV on the full cost matrix,
+    #: ``scipy.optimize.linear_sum_assignment``), or "auction" (this
+    #: repo's ε-auction; exact to auction_tol)
     engine: str = "mcf"
     auction_tol: float = 1e-6
     #: extension beyond the paper: penalize sites in congested routing
@@ -102,6 +112,7 @@ class AssignmentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_engine(self.engine)
         if not np.isfinite(self.skew_weight) or self.skew_weight < 0.0:
             raise ConfigurationError(
                 f"skew_weight must be finite and non-negative, got {self.skew_weight!r}"

@@ -11,11 +11,7 @@ from repro.netlist.net import Net
 from repro.netlist.netlist import Netlist, NetlistStats
 from repro.netlist.macros import CascadeMacro
 from repro.netlist.csr import NetlistCSR, build_csr, get_csr
-from repro.netlist.graph import (
-    netlist_to_digraph,
-    netlist_to_graph,
-    connectivity_matrix,
-)
+from repro.netlist.graph import connectivity_matrix
 from repro.netlist.io import netlist_to_json, netlist_from_json, save_netlist, load_netlist
 from repro.netlist.validate import netlist_problems, validate_netlist
 from repro.netlist.verilog import netlist_to_verilog, save_verilog
@@ -30,8 +26,6 @@ __all__ = [
     "NetlistCSR",
     "build_csr",
     "get_csr",
-    "netlist_to_digraph",
-    "netlist_to_graph",
     "connectivity_matrix",
     "netlist_to_json",
     "netlist_from_json",

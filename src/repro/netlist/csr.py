@@ -57,8 +57,8 @@ class NetlistCSR:
         version: ``Netlist._version`` this context was built from.
         directed: Binary driver→sink CSR adjacency (parallel nets collapsed).
         undirected: Binary symmetrized CSR adjacency.
-        indegree / outdegree: Unique-neighbour degree arrays (the
-            ``netlist_to_digraph`` convention: parallel edges collapse).
+        indegree / outdegree: Unique-neighbour degree arrays (parallel
+            edges collapse, as in a ``networkx.DiGraph`` of the netlist).
         dsp_indices: Sorted cell indices of DSP cells.
         is_dsp / is_storage: Per-cell boolean masks.
         is_fixed: Per-cell ``Cell.is_fixed`` mask (has a device-pinned xy).

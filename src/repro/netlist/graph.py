@@ -1,42 +1,19 @@
-"""Graph views of a netlist (paper Fig. 3(a)→3(b)).
+"""Sparse connectivity of a netlist for the analytical placers.
 
 The paper represents the pre-implementation netlist as a graph G = (V, E)
-with components as nodes and connections as edges. We provide a directed
-view (driver→sink, used for in/out-degree and feedback-loop features) and an
-undirected view (used for centralities and shortest paths), plus a sparse
-connectivity matrix for the analytical placers.
+with components as nodes and connections as edges (Fig. 3(a)→3(b)). The
+directed and undirected views of that graph live in
+:class:`~repro.netlist.csr.NetlistCSR`; this module builds the weighted
+cell-to-cell connection matrix the quadratic placers minimize over.
 """
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 import scipy.sparse as sp
 
 from repro.netlist.csr import get_csr
 from repro.netlist.netlist import Netlist
-
-
-def netlist_to_digraph(netlist: Netlist) -> nx.DiGraph:
-    """Directed driver→sink multigraph collapsed to a weighted DiGraph.
-
-    Parallel connections accumulate in the edge ``weight``. Node ids are cell
-    indices; each node carries its ``ctype``.
-    """
-    g = nx.DiGraph()
-    for cell in netlist.cells:
-        g.add_node(cell.index, ctype=cell.ctype, name=cell.name)
-    for u, v, w in netlist.iter_edges():
-        if g.has_edge(u, v):
-            g[u][v]["weight"] += w
-        else:
-            g.add_edge(u, v, weight=w)
-    return g
-
-
-def netlist_to_graph(netlist: Netlist) -> nx.Graph:
-    """Undirected weighted graph view (centralities, shortest paths)."""
-    return netlist_to_digraph(netlist).to_undirected(reciprocal=False)
 
 
 def connectivity_matrix(
@@ -107,39 +84,4 @@ def connectivity_matrix(
         shape=(n, n),
         dtype=np.float64,
     )
-    return mat.tocsr()
-
-
-def _connectivity_matrix_loop(
-    netlist: Netlist, max_clique_degree: int = 32, use_net_weights: bool = True
-) -> sp.csr_matrix:
-    """Per-net Python-loop reference for :func:`connectivity_matrix` (tests)."""
-    n = len(netlist.cells)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-
-    def _connect(a: int, b: int, w: float) -> None:
-        rows.append(a)
-        cols.append(b)
-        vals.append(w)
-        rows.append(b)
-        cols.append(a)
-        vals.append(w)
-
-    for net in netlist.nets:
-        pins = net.cells
-        d = len(pins)
-        if d < 2:
-            continue
-        w = (net.weight if use_net_weights else 1.0) / (d - 1)
-        if d <= max_clique_degree:
-            for i in range(d):
-                for j in range(i + 1, d):
-                    _connect(pins[i], pins[j], w)
-        else:
-            for sink in net.sinks:
-                _connect(net.driver, sink, w)
-
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=np.float64)
     return mat.tocsr()

@@ -13,8 +13,12 @@ stand-ins that exercise the same role:
   macro packing, but no PS-corner awareness (it was tuned for the PS-less
   VCU108), which displaces logic during legalization and disorders the
   PS↔PL datapath.
-- :class:`~repro.placers.sa.SimulatedAnnealingPlacer` — the classic
-  small-design alternative (Section I's other placer family).
+
+Both share one engine per stage: global placement by
+:class:`~repro.placers.analytical.QuadraticGlobalPlacer`, site legalization
+by :class:`~repro.placers.legalizer.Legalizer`, and detailed placement by
+:func:`~repro.placers.detailed.refine_sites`. Their loop oracles live in
+``tests/oracles/``.
 
 All engines (and DSPlacer, through its adapter) conform to the unified
 :class:`~repro.placers.api.Placer` protocol: bind the device at
@@ -27,11 +31,9 @@ from repro.placers.placement import Placement
 from repro.placers.analytical import GlobalPlaceConfig, QuadraticGlobalPlacer
 from repro.placers.legalizer import Legalizer
 from repro.placers.detailed import refine_sites
-from repro.placers.detailed_clb import refine_clb
 from repro.placers.packing import apply_packing, pack_lut_ff_pairs
 from repro.placers.vivado_like import VivadoLikePlacer
 from repro.placers.amf_like import AMFLikePlacer
-from repro.placers.sa import SimulatedAnnealingPlacer
 
 __all__ = [
     "Placer",
@@ -43,10 +45,8 @@ __all__ = [
     "QuadraticGlobalPlacer",
     "Legalizer",
     "refine_sites",
-    "refine_clb",
     "apply_packing",
     "pack_lut_ff_pairs",
     "VivadoLikePlacer",
     "AMFLikePlacer",
-    "SimulatedAnnealingPlacer",
 ]

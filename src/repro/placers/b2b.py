@@ -13,8 +13,8 @@ point*. The model is rebuilt from current positions before every solve,
 which is why assembly has to be loop-free: one boundary-pin reduction over
 the flattened pin arrays plus one batched COO build.
 
-Both engines produce the same edge multiset; ``method="reference"`` is the
-per-net Python loop kept as the equivalence-test oracle (PR-6 style).
+The per-net loop oracle in ``tests/oracles/b2b.py`` must produce the same
+edge multiset.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ def b2b_adjacency(
     net_weights: np.ndarray,
     n_cells: int,
     eps: float = 1.0,
-    method: str = "vectorized",
 ) -> sp.csr_matrix:
     """Symmetric B2B adjacency for one axis at the current positions.
 
@@ -44,28 +43,18 @@ def b2b_adjacency(
         net_weights: Per-net weight, shape ``(n_nets,)``.
         eps: Distance clamp — collapsed pins get spring ``w·2/((p−1)·eps)``
             instead of a singularity.
-        method: ``"vectorized"`` or ``"reference"`` (per-net loop oracle).
 
     Returns:
         ``(n_cells, n_cells)`` symmetric CSR adjacency; duplicate pin pairs
         and self-edges (a cell appearing twice in one net) are summed /
-        dropped identically by both engines.
+        dropped.
     """
-    if method == "vectorized":
-        rows, cols, vals = _b2b_edges_vectorized(
-            pin_cell, pin_ptr, pin_net, coords, net_weights, eps
-        )
-    elif method == "reference":
-        rows, cols, vals = _b2b_edges_reference(
-            pin_cell, pin_ptr, coords, net_weights, eps
-        )
-    else:
-        raise ValueError(f"unknown b2b method {method!r}")
+    rows, cols, vals = _b2b_edges(pin_cell, pin_ptr, pin_net, coords, net_weights, eps)
     adj = sp.coo_matrix((vals, (rows, cols)), shape=(n_cells, n_cells)).tocsr()
     return (adj + adj.T).tocsr()
 
 
-def _b2b_edges_vectorized(
+def _b2b_edges(
     pin_cell: np.ndarray,
     pin_ptr: np.ndarray,
     pin_net: np.ndarray,
@@ -131,47 +120,4 @@ def _b2b_edges_vectorized(
         np.concatenate(rows),
         np.concatenate(cols),
         np.concatenate(vals),
-    )
-
-
-def _b2b_edges_reference(
-    pin_cell: np.ndarray,
-    pin_ptr: np.ndarray,
-    coords: np.ndarray,
-    net_weights: np.ndarray,
-    eps: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-net loop oracle — same edge multiset as the vectorized engine."""
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for k in range(len(pin_ptr) - 1):
-        s, e = int(pin_ptr[k]), int(pin_ptr[k + 1])
-        p = e - s
-        if p < 2:
-            continue
-        pins = pin_cell[s:e]
-        px = coords[pins]
-        lo = int(np.argmin(px))
-        hi = int(np.argmax(px))
-        scale = 2.0 * float(net_weights[k]) / (p - 1)
-
-        def _add(a: int, b: int) -> None:
-            ca, cb = int(pins[a]), int(pins[b])
-            if ca == cb:
-                return
-            d = max(abs(float(px[a]) - float(px[b])), eps)
-            rows.append(ca)
-            cols.append(cb)
-            vals.append(scale / d)
-
-        _add(lo, hi)
-        for u in range(p):
-            if u != lo and u != hi:
-                _add(u, lo)
-                _add(u, hi)
-    return (
-        np.asarray(rows, dtype=np.int64),
-        np.asarray(cols, dtype=np.int64),
-        np.asarray(vals, dtype=np.float64),
     )

@@ -6,44 +6,23 @@ nearby free sites or swapping with nearby peers, accepting changes that
 reduce weighted HPWL of the incident nets. Macro members are left alone —
 moving them would break cascade legality (handled by the ILP stage instead).
 
-Two engines share the greedy sequential semantics (PR-6 style):
-
-- ``method="vectorized"`` (default): per cell, the incident nets' pin
-  positions are gathered once and every free candidate site is scored in a
-  single broadcast ``reduceat`` pass; swap candidates are scored with one
-  masked-substitution gather instead of four ``assign_site`` round-trips.
-  Accept decisions are bitwise-identical to the reference — candidate
-  evaluation has no side effects in either engine, term expressions match
-  op-for-op, and ``np.cumsum`` reproduces Python's left-to-right float
-  accumulation.
-- ``method="reference"``: the original per-cell × per-candidate × per-net
-  loop, kept as the equivalence-test oracle.
+Per cell, the incident nets' pin positions are gathered once and every
+free candidate site is scored in a single broadcast ``reduceat`` pass; swap
+candidates are scored with one masked-substitution gather instead of four
+``assign_site`` round-trips. Accept decisions are bitwise-identical to the
+per-cell × per-candidate × per-net loop oracle in
+``tests/oracles/refine.py`` — candidate evaluation has no side effects,
+term expressions match op-for-op, and ``np.cumsum`` reproduces Python's
+left-to-right float accumulation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.netlist.cell import CellType
 from repro.netlist.csr import SITE_KIND_CODES, get_csr
 from repro.obs import metrics, trace
 from repro.placers.placement import Placement
-
-
-def _incident_nets(placement: Placement) -> list[list[int]]:
-    return placement.netlist.nets_of_cell()
-
-
-def _nets_cost(placement: Placement, net_ids: list[int]) -> float:
-    nl = placement.netlist
-    total = 0.0
-    for nid in net_ids:
-        net = nl.nets[nid]
-        pts = placement.xy[list(net.cells)]
-        total += net.weight * (
-            (pts[:, 0].max() - pts[:, 0].min()) + (pts[:, 1].max() - pts[:, 1].min())
-        )
-    return total
 
 
 def refine_sites(
@@ -53,91 +32,12 @@ def refine_sites(
     n_candidates: int = 8,
     movable_mask: np.ndarray | None = None,
     seed: int = 0,
-    method: str = "vectorized",
 ) -> int:
     """Greedy move/swap refinement; returns the number of accepted moves."""
-    if method not in ("vectorized", "reference"):
-        raise ValueError(f"unknown refine method {method!r}")
-    impl = _refine_vectorized if method == "vectorized" else _refine_impl
-    with trace.span("refine", passes=passes, method=method) as sp:
-        accepted = impl(placement, kinds, passes, n_candidates, movable_mask, seed)
+    with trace.span("refine", passes=passes) as sp:
+        accepted = _refine(placement, kinds, passes, n_candidates, movable_mask, seed)
         sp.set(accepted_moves=accepted)
         metrics.inc("refine.accepted_moves", accepted)
-    return accepted
-
-
-def _refine_impl(
-    placement: Placement,
-    kinds: tuple[str, ...],
-    passes: int,
-    n_candidates: int,
-    movable_mask: np.ndarray | None,
-    seed: int,
-) -> int:
-    nl, dev = placement.netlist, placement.device
-    incident = _incident_nets(placement)
-    rng = np.random.default_rng(seed)
-    if movable_mask is None:
-        movable_mask = np.array([not c.is_fixed for c in nl.cells])
-
-    in_macro: set[int] = set()
-    for macro in nl.macros:
-        in_macro.update(macro.dsps)
-
-    accepted = 0
-    for kind in kinds:
-        ctype = CellType.DSP if kind == "DSP" else CellType.BRAM
-        cells = [
-            c.index
-            for c in nl.cells
-            if c.ctype is ctype
-            and c.index not in in_macro
-            and movable_mask[c.index]
-            and placement.site[c.index] >= 0
-        ]
-        if not cells:
-            continue
-        site_owner = np.full(dev.n_sites(kind), -1, dtype=np.int64)
-        for c in nl.cells:
-            if c.ctype is ctype and placement.site[c.index] >= 0:
-                site_owner[placement.site[c.index]] = c.index
-
-        for _ in range(passes):
-            order = rng.permutation(len(cells))
-            moved = 0
-            for oi in order:
-                idx = cells[oi]
-                x, y = placement.xy[idx]
-                cand = dev.nearest_sites(kind, x, y, k=n_candidates)
-                base_nets = incident[idx]
-                for sid in cand:
-                    sid = int(sid)
-                    if sid == placement.site[idx]:
-                        continue
-                    other = int(site_owner[sid])
-                    if other >= 0 and (
-                        other in in_macro or not movable_mask[other] or other == idx
-                    ):
-                        continue
-                    nets = base_nets if other < 0 else list(set(base_nets) | set(incident[other]))
-                    before = _nets_cost(placement, nets)
-                    old_sid = int(placement.site[idx])
-                    placement.assign_site(idx, sid)
-                    if other >= 0:
-                        placement.assign_site(other, old_sid)
-                    after = _nets_cost(placement, nets)
-                    if after < before - 1e-9:
-                        site_owner[sid] = idx
-                        site_owner[old_sid] = other if other >= 0 else -1
-                        moved += 1
-                        break
-                    # revert
-                    placement.assign_site(idx, old_sid)
-                    if other >= 0:
-                        placement.assign_site(other, sid)
-            accepted += moved
-            if moved == 0:
-                break
     return accepted
 
 
@@ -152,7 +52,7 @@ def _flat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) + shift
 
 
-def _refine_vectorized(
+def _refine(
     placement: Placement,
     kinds: tuple[str, ...],
     passes: int,
@@ -160,7 +60,8 @@ def _refine_vectorized(
     movable_mask: np.ndarray | None,
     seed: int,
 ) -> int:
-    """Batched engine: same cell order, same accept decisions, no rescans."""
+    """Batched refinement: the loop oracle's cell order and accept
+    decisions, without its per-candidate rescans."""
     nl, dev = placement.netlist, placement.device
     rng = np.random.default_rng(seed)
     n = len(nl.cells)
@@ -352,7 +253,7 @@ def _refine_vectorized(
                     own_sid = int(placement.site[idx])
                     owner = site_owner[cand]
                     # owner == idx ⇔ cand == own_sid (a cell owns only its
-                    # site), so the reference's owner-skip rules reduce to this
+                    # site), so the loop oracle's owner-skip rules reduce to this
                     ucs = np.flatnonzero((cand != own_sid) & ~bad_sites[cand])
                     uo = owner[ucs]
                     free_cs = ucs[uo < 0]

@@ -14,12 +14,12 @@ Cells outside ``movable_mask`` keep their existing site assignments and
 block those sites — this is what lets DSPlacer freeze its datapath DSPs
 while the rest of the design is re-legalized around them (paper Fig. 6).
 
-Two engines (PR-6 style): ``method="vectorized"`` (default) batches the
-nearest-site queries for all single DSP/BRAM cells into one distance
-matrix and scans CLB rows with array reductions; ``method="reference"``
-is the original per-cell loop kept as the equivalence-test oracle. Both
-produce identical site assignments — the greedy order, tie-breaking, and
-escalation sequences are replicated exactly.
+The nearest-site queries for all single DSP/BRAM cells are batched into
+one distance matrix, and the CLB fill runs on plain lists around one
+batched row lookup. The per-cell loop oracle in
+``tests/oracles/legalizer.py`` must produce identical site assignments —
+the greedy order, tie-breaking, and escalation sequences are replicated
+exactly.
 """
 
 from __future__ import annotations
@@ -36,19 +36,10 @@ _BRAM = SITE_KIND_CODES.index("BRAM")
 
 
 class Legalizer:
-    """Legalizes placements on a fixed device.
+    """Legalizes placements on a fixed device."""
 
-    Args:
-        device: Target device.
-        method: ``"vectorized"`` (default) or ``"reference"`` — the
-            original per-cell loops, kept for equivalence testing.
-    """
-
-    def __init__(self, device: Device, method: str = "vectorized") -> None:
-        if method not in ("vectorized", "reference"):
-            raise ValueError(f"unknown legalizer method {method!r}")
+    def __init__(self, device: Device) -> None:
         self.device = device
-        self.method = method
 
     # ------------------------------------------------------------------
     def legalize(self, placement: Placement, movable_mask: np.ndarray | None = None) -> Placement:
@@ -56,7 +47,7 @@ class Legalizer:
         if movable_mask is None:
             movable_mask = ~get_csr(placement.netlist).is_fixed
         movable_mask = np.asarray(movable_mask, dtype=bool)
-        with trace.span("legalize", method=self.method):
+        with trace.span("legalize"):
             metrics.inc("legalize.passes")
             self.legalize_dsps(placement, movable_mask)
             self.legalize_brams(placement, movable_mask)
@@ -216,17 +207,11 @@ class Legalizer:
         The greedy order is sequential — each assignment occupies a site the
         next cell can no longer take — but all query coordinates are known
         up front (cells keep their pre-legalization xy until assigned), so
-        the vectorized engine batches the initial k-nearest query for every
-        cell into one distance matrix and only falls back to the escalating
-        per-cell search when a cell's whole candidate prefix is occupied.
+        the initial k-nearest query for every cell is batched into one
+        distance matrix and the escalating per-cell search only runs when a
+        cell's whole candidate prefix is occupied.
         """
         if not todo:
-            return
-        if self.method == "reference":
-            for idx in todo:
-                sid = self._nearest_free(kind, placement.xy[idx], occupied)
-                occupied[sid] = True
-                placement.assign_site(idx, sid)
             return
         dev = self.device
         sxy = dev.site_xy(kind)
@@ -296,39 +281,13 @@ class Legalizer:
         pick_left = np.abs(col_x[left] - xys[:, 0]) < np.abs(col_x[ci] - xys[:, 0])
         ci = np.where(pick_left, left, ci)
 
-        n_cols = len(cols)
-        if self.method == "reference":
-            for pos, idx in enumerate(todo):
-                c0 = int(ci[pos])
-                y = xys[pos, 1]
-                sid = self._clb_probe(c0, y, cols, col_start, load, cap, n_cols)
-                load[sid] += 1
-                placement.assign_site(idx, sid)
-        else:
-            self._fill_clb_batched(placement, todo, xys, ci, cols, col_start, load, cap)
-
-    def _clb_probe(self, c0, y, cols, col_start, load, cap, n_cols) -> int:
-        """Find a CLB site with spare capacity, spiralling out from (c0, y)."""
-        for dc in _spiral():
-            c = c0 + dc
-            if c < 0 or c >= n_cols:
-                if abs(dc) > n_cols:
-                    raise ValueError("CLB legalization ran out of sites")
-                continue
-            col = cols[c]
-            ys = col.ys
-            r0 = int(np.clip(np.searchsorted(ys, y), 0, len(ys) - 1))
-            base = int(col_start[c])
-            for dr in range(len(ys)):
-                for r in (r0 - dr, r0 + dr) if dr else (r0,):
-                    if 0 <= r < len(ys) and load[base + r] < cap:
-                        return base + r
-        raise ValueError("unreachable")
+        self._fill_clb_batched(placement, todo, xys, ci, cols, col_start, load, cap)
 
     def _fill_clb_batched(
         self, placement, todo, xys, ci, cols, col_start, load, cap
     ) -> None:
-        """Batched CLB fill, identical decisions to the per-cell probe.
+        """Batched CLB fill: each cell takes the nearest row with spare
+        capacity, spiralling out over columns from its home column.
 
         The capacity fill is inherently sequential (each placement consumes
         a slot the next cell can no longer take), so the batching happens

@@ -11,13 +11,13 @@ Negotiation semantics: each round scores **all** connections against the
 usage grids frozen at the start of the round — with a connection's own
 previous route ripped up for its own scoring — then applies every chosen
 route in one batch. This Jacobi-style formulation is what makes the hot
-path a handful of gathers and one scatter-add per round
-(``method="vectorized"``, the default); ``method="reference"`` runs the
-same semantics as per-connection Python loops and is the equivalence-test
-oracle. In the uncongested regime (no edge above capacity, the early-exit
-case) both are also behavior-identical to the historical sequential
-router: every candidate of a connection crosses the same number of bins,
-so with no overload term the first candidate wins either way.
+path a handful of gathers and one scatter-add per round; the
+per-connection loop oracle in ``tests/oracles/router.py`` runs the same
+semantics and pins the result. In the uncongested regime (no edge above
+capacity, the early-exit case) the router is also behavior-identical to
+the historical sequential router: every candidate of a connection crosses
+the same number of bins, so with no overload term the first candidate
+wins either way.
 
 The result carries actual per-net routed lengths and an edge-utilization
 map; :meth:`PatternRouter.route` returns the same
@@ -42,39 +42,6 @@ _CAND_L_YX = 1  # L: y then x
 _CAND_Z_H = 2  # Z with a horizontal middle leg
 _CAND_Z_V = 3  # Z with a vertical middle leg
 N_CANDIDATES = 4
-
-
-def candidate_paths(bx0: int, by0: int, bx1: int, by1: int) -> list[list[tuple[str, int, int]]]:
-    """Deduplicated L/Z candidate edge paths between two bins.
-
-    Every path is a list of ``(kind, i, j)`` edges (``kind`` ``"h"`` or
-    ``"v"``). Degenerate candidates are skipped: for straight (same-row or
-    same-column) connections both L patterns — and any Z pattern — collapse
-    onto the identical path, so only the first is emitted (historically the
-    duplicate was cost-evaluated once more per connection per round). A
-    same-bin connection yields a single empty path.
-    """
-
-    def h_run(y: int, xa: int, xb: int) -> list[tuple[str, int, int]]:
-        lo, hi = sorted((xa, xb))
-        return [("h", x, y) for x in range(lo, hi)]
-
-    def v_run(x: int, ya: int, yb: int) -> list[tuple[str, int, int]]:
-        lo, hi = sorted((ya, yb))
-        return [("v", x, y) for y in range(lo, hi)]
-
-    dx = bx1 - bx0
-    dy = by1 - by0
-    outs = [h_run(by0, bx0, bx1) + v_run(bx1, by0, by1)]  # L: x then y
-    if dx != 0 and dy != 0:
-        outs.append(v_run(bx0, by0, by1) + h_run(by1, bx0, bx1))  # L: y then x
-    if abs(dx) >= 2 and dy != 0:  # Z with a horizontal middle leg
-        xm = (bx0 + bx1) // 2
-        outs.append(h_run(by0, bx0, xm) + v_run(xm, by0, by1) + h_run(by1, xm, bx1))
-    if abs(dy) >= 2 and dx != 0:  # Z with a vertical middle leg
-        ym = (by0 + by1) // 2
-        outs.append(v_run(bx0, by0, ym) + h_run(ym, bx0, bx1) + v_run(bx1, ym, by1))
-    return outs
 
 
 class _ConnectionBatch:
@@ -152,21 +119,17 @@ class PatternRouter:
         history_cost: float = 0.5,
         detour_strength: float = 0.6,
         max_connections: int = 250_000,
-        method: str = "vectorized",
     ) -> None:
-        if method not in ("vectorized", "reference"):
-            raise ValueError(f"unknown pattern-router method {method!r}")
         self.grid = grid
         self.capacity_per_edge = capacity_per_edge
         self.n_rounds = n_rounds
         self.history_cost = history_cost
         self.detour_strength = detour_strength
         self.max_connections = max_connections
-        self.method = method
 
     # ------------------------------------------------------------------
     def route(self, placement: Placement) -> RoutingResult:
-        with trace.span("router.route", method=self.method, grid=list(self.grid)) as sp:
+        with trace.span("router.route", grid=list(self.grid)) as sp:
             result = self._route_impl(placement)
             sp.set(
                 wirelength_um=result.total_wirelength,
@@ -184,10 +147,7 @@ class PatternRouter:
                 f"{batch.n} connections exceed max_connections; raise the cap "
                 "or use the RUDY GlobalRouter at this scale"
             )
-        if self.method == "vectorized":
-            usage_h, usage_v = self._negotiate_vectorized(batch)
-        else:
-            usage_h, usage_v = self._negotiate_reference(batch)
+        usage_h, usage_v = self._negotiate(batch)
         return self._finish(placement, batch, usage_h, usage_v)
 
     def _connections(self, placement: Placement) -> _ConnectionBatch:
@@ -212,9 +172,9 @@ class PatternRouter:
         return _ConnectionBatch(net_id, bx0, by0, bx1, by1)
 
     # ------------------------------------------------------------------
-    # negotiation engines (identical semantics; see module docstring)
-    # ------------------------------------------------------------------
-    def _negotiate_vectorized(self, batch: _ConnectionBatch):
+    def _negotiate(self, batch: _ConnectionBatch):
+        """Negotiated-congestion rounds (see module docstring); returns the
+        final ``(usage_h, usage_v)`` bin-edge usage grids."""
         gx, gy = self.grid
         cap = self.capacity_per_edge
         history_h = np.zeros((gx - 1) * gy)
@@ -266,60 +226,6 @@ class PatternRouter:
             ):
                 break
         return usage_h.reshape(gx - 1, gy), usage_v.reshape(gx, gy - 1)
-
-    def _negotiate_reference(self, batch: _ConnectionBatch):
-        """Per-connection loop engine with the same frozen-round semantics."""
-        gx, gy = self.grid
-        cap = self.capacity_per_edge
-        usage_h = np.zeros((gx - 1, gy))
-        usage_v = np.zeros((gx, gy - 1))
-        history_h = np.zeros_like(usage_h)
-        history_v = np.zeros_like(usage_v)
-        cands = [
-            candidate_paths(
-                int(batch.x0[c]), int(batch.y0[c]), int(batch.x1[c]), int(batch.y1[c])
-            )
-            for c in range(batch.n)
-        ]
-        routes: dict[int, list[tuple[str, int, int]]] = {}
-
-        for rnd in range(self.n_rounds):
-            base_h = usage_h.copy()
-            base_v = usage_v.copy()
-
-            def edge_cost(kind: str, i: int, j: int, own: set) -> float:
-                rip = 1.0 if (kind, i, j) in own else 0.0
-                if kind == "h":
-                    over = max(0.0, base_h[i, j] - rip + 1.0 - cap)
-                    return 1.0 + history_h[i, j] + over
-                over = max(0.0, base_v[i, j] - rip + 1.0 - cap)
-                return 1.0 + history_v[i, j] + over
-
-            new_routes: dict[int, list[tuple[str, int, int]]] = {}
-            for ci in range(batch.n):
-                own = set(routes.get(ci, ()))
-                best_path: list[tuple[str, int, int]] | None = None
-                best_cost = np.inf
-                for path in cands[ci]:
-                    c = sum(edge_cost(k, i, j, own) for k, i, j in path)
-                    if c < best_cost:
-                        best_cost = c
-                        best_path = path
-                new_routes[ci] = best_path if best_path is not None else []
-            routes = new_routes
-            usage_h[:] = 0.0
-            usage_v[:] = 0.0
-            for path in routes.values():
-                for kind, i, j in path:
-                    if kind == "h":
-                        usage_h[i, j] += 1.0
-                    else:
-                        usage_v[i, j] += 1.0
-            history_h += self.history_cost * np.maximum(0.0, usage_h - cap) / max(cap, 1.0)
-            history_v += self.history_cost * np.maximum(0.0, usage_v - cap) / max(cap, 1.0)
-            if usage_h.max(initial=0.0) <= cap and usage_v.max(initial=0.0) <= cap:
-                break
-        return usage_h, usage_v
 
     # ------------------------------------------------------------------
     def _finish(

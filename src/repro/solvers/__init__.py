@@ -2,9 +2,9 @@
 
 Implementations of the solvers the paper outsources:
 
-- :mod:`repro.solvers.mcf` — min-cost flow (the paper uses LEMON) via
-  successive shortest paths with Johnson potentials, plus a bipartite
-  assignment front-end used by the linearized DSP placement (eq. 8/9).
+- :mod:`repro.solvers.mcf` — the min-cost assignment of the linearized
+  DSP placement (eq. 8/9; the paper uses LEMON's min-cost flow), solved
+  by scipy's sparse LAPJVsp over candidate arcs.
 - :mod:`repro.solvers.ilp` — mixed-integer LP (the paper uses Gurobi) as one
   HiGHS ``scipy.optimize.milp`` call.
 - :mod:`repro.solvers.auction` — Bertsekas ε-scaling auction assignment.
@@ -14,12 +14,11 @@ Implementations of the solvers the paper outsources:
 """
 
 from repro.solvers.auction import auction_assignment
-from repro.solvers.mcf import MinCostFlow, min_cost_assignment
+from repro.solvers.mcf import min_cost_assignment
 from repro.solvers.ilp import ILPResult, solve_ilp
 from repro.solvers.isotonic import ColumnBlock, l1_isotonic, legalize_column_rows
 
 __all__ = [
-    "MinCostFlow",
     "min_cost_assignment",
     "auction_assignment",
     "ILPResult",

@@ -6,14 +6,12 @@ arrival times for any placement + routing in topological order. Reports the
 paper's Table II metrics: setup WNS and TNS over all endpoint pins, plus the
 critical path.
 
-Two engines share the one timing graph: the default ``method="vectorized"``
-propagates arrivals level-by-level over flat edge arrays (per-edge Manhattan
-distances, detour gathers, and cascade-adjacency flags are computed once per
-placement; per-level maxima via ``np.maximum.reduceat`` segment reductions),
-and ``method="reference"`` is the original per-cell Python loop kept as the
-equivalence-test oracle. Both produce identical reports to the last bit —
-pinned by hypothesis tests in ``tests/test_sta_vectorized.py`` and
-``tests/test_clock_skew_sta.py``.
+Arrivals propagate level-by-level over flat edge arrays: per-edge Manhattan
+distances, detour gathers and cascade-adjacency flags are computed once per
+placement, and per-level maxima are ``np.maximum.reduceat`` segment
+reductions. Hypothesis tests in ``tests/test_sta_vectorized.py`` and
+``tests/test_clock_skew_sta.py`` pin every report field to the per-cell
+loop oracle in ``tests/oracles/sta.py``.
 
 Clock skew is delegated to a :class:`~repro.clock.SkewModel`: every setup
 check's data arrival picks up ``model.arrival_penalty(placement, launch,
@@ -96,14 +94,10 @@ class StaticTimingAnalyzer:
         self,
         netlist: Netlist,
         delay_model: DelayModel | None = None,
-        method: str = "vectorized",
         skew_model=None,
     ) -> None:
-        if method not in ("vectorized", "reference"):
-            raise ValueError(f"unknown STA method {method!r}")
         self.netlist = netlist
         self.dm = delay_model or DelayModel()
-        self.method = method
         if skew_model is None:
             from repro.clock.skew import RegionSkew
 
@@ -149,7 +143,7 @@ class StaticTimingAnalyzer:
         self._build_arrays(n_dag)
 
     # ------------------------------------------------------------------
-    # one-time flat-array views of the timing graph (vectorized engine)
+    # one-time flat-array views of the timing graph
     # ------------------------------------------------------------------
     def _build_arrays(self, n_dag: int) -> None:
         nl = self.netlist
@@ -181,7 +175,7 @@ class StaticTimingAnalyzer:
 
         # levelization: DAG cells get longest-path levels (all combinational
         # predecessors strictly earlier); cycle leftovers each get their own
-        # level in topo order, replicating the reference's sequential sweep
+        # level in topo order, replicating a sequential per-cell sweep
         level = np.zeros(n, dtype=np.int64)
         for u in self._topo[:n_dag]:
             lv = 0
@@ -252,7 +246,7 @@ class StaticTimingAnalyzer:
         flat cascade-edge list), computed with one ``site_col`` fetch.
 
         A hop is adjacent when predecessor and successor sit on consecutive
-        site ids of one DSP column — the reference re-derived the column
+        site ids of one DSP column — the per-cell loop re-derived the column
         array via ``device.site_col("DSP")`` twice per cascade edge per pass.
         """
         ci = self._casc_idx
@@ -285,32 +279,6 @@ class StaticTimingAnalyzer:
             )
         return delay
 
-    # ------------------------------------------------------------------
-    def _edge_delay(
-        self,
-        src: int,
-        dst: int,
-        net_id: int,
-        placement: Placement,
-        detour: np.ndarray | None,
-    ) -> float:
-        dxy = placement.xy[src] - placement.xy[dst]
-        dist = abs(float(dxy[0])) + abs(float(dxy[1]))
-        det = float(detour[net_id]) if detour is not None else 1.0
-        if (src, dst) in self._cascade_pairs and getattr(
-            placement.device, "has_cascades", True
-        ):
-            site_s = int(placement.site[src])
-            site_d = int(placement.site[dst])
-            adjacent = (
-                site_s >= 0
-                and site_d == site_s + 1
-                and placement.device.site_col("DSP")[site_s]
-                == placement.device.site_col("DSP")[site_d]
-            )
-            return self.dm.cascade_delay(adjacent, dist, det)
-        return self.dm.net_delay(dist, det)
-
     def analyze(
         self,
         placement: Placement,
@@ -325,21 +293,14 @@ class StaticTimingAnalyzer:
         (min over all downstream endpoints), which timing-driven placement
         uses for net criticality weighting.
         """
-        with trace.span(
-            "sta.analyze", with_slacks=with_slacks, method=self.method, skew=self.skew.name
-        ) as sp:
-            if self.method == "vectorized":
-                report = self._analyze_vectorized(placement, routing, period_ns, with_slacks)
-            else:
-                report = self._analyze_reference(placement, routing, period_ns, with_slacks)
+        with trace.span("sta.analyze", with_slacks=with_slacks, skew=self.skew.name) as sp:
+            report = self._analyze(placement, routing, period_ns, with_slacks)
             sp.set(wns_ns=report.wns_ns, n_failing=report.n_failing)
         metrics.inc("sta.analyses")
         metrics.gauge("sta.wns_ns", report.wns_ns)
         metrics.gauge("sta.tns_ns", report.tns_ns)
         return report
 
-    # ------------------------------------------------------------------
-    # vectorized engine
     # ------------------------------------------------------------------
     def _resolve_period(self, period_ns: float | None) -> float:
         if period_ns is None:
@@ -348,20 +309,9 @@ class StaticTimingAnalyzer:
             period_ns = 1e3 / self.netlist.target_freq_mhz
         return period_ns
 
-    def _skew_penalty_scalar(
-        self, placement: Placement, launch_cell: int, capture_cell: int
-    ) -> float:
-        """One (launch, capture) skew charge — the reference engine's view."""
-        p = self.skew.arrival_penalty(
-            placement,
-            np.array([launch_cell], dtype=np.int64),
-            np.array([capture_cell], dtype=np.int64),
-        )
-        return float(p[0]) if isinstance(p, np.ndarray) else float(p)
-
     @staticmethod
     def _segment_max_first(vals: np.ndarray, starts: np.ndarray):
-        """Per-segment (max, first index attaining it) — the reference's
+        """Per-segment (max, first index attaining it) — a per-cell loop's
         strict ``a > best`` scan keeps the earliest maximum, so ties must
         resolve to the first position."""
         m = np.maximum.reduceat(vals, starts)
@@ -371,7 +321,7 @@ class StaticTimingAnalyzer:
         first = np.minimum.reduceat(pos, starts)
         return m, first
 
-    def _analyze_vectorized(
+    def _analyze(
         self,
         placement: Placement,
         routing: RoutingResult | None,
@@ -476,137 +426,6 @@ class StaticTimingAnalyzer:
             critical_path=crit,
             endpoint_cells=ends.copy() if has_endpoints else None,
             _end_pred=end_pred.copy() if has_endpoints else None,
-            _best_pred=best_pred,
-            cell_output_slack=cell_slack,
-        )
-
-    # ------------------------------------------------------------------
-    # reference engine (per-cell loops; the equivalence-test oracle)
-    # ------------------------------------------------------------------
-    def _analyze_reference(
-        self,
-        placement: Placement,
-        routing: RoutingResult | None,
-        period_ns: float | None,
-        with_slacks: bool,
-    ) -> TimingReport:
-        nl = self.netlist
-        period_ns = self._resolve_period(period_ns)
-        detour = routing.net_detour if routing is not None else None
-        dm = self.dm
-
-        n = len(nl.cells)
-        arrival = np.zeros(n)
-        best_pred = np.full(n, -1, dtype=np.int64)
-        launch = np.arange(n, dtype=np.int64)  # launch register of worst path
-        for u in range(n):
-            if self._seq[u]:
-                arrival[u] = dm.clk_to_q[nl.cells[u].ctype]
-
-        for u in self._topo:
-            best = 0.0
-            pred = -1
-            for v, nid in self._fanin[u]:
-                a = arrival[v] + self._edge_delay(v, u, nid, placement, detour)
-                if a > best:
-                    best = a
-                    pred = v
-            arrival[u] = best + dm.prop.get(nl.cells[u].ctype, 0.0)
-            best_pred[u] = pred
-            if pred >= 0:
-                launch[u] = launch[pred]
-
-        # endpoints: every sequential cell with fanin
-        slacks: list[float] = []
-        ends: list[int] = []
-        end_pred: list[int] = []
-        for u in range(n):
-            if not self._seq[u] or not self._fanin[u]:
-                continue
-            worst = None
-            wpred = -1
-            for v, nid in self._fanin[u]:
-                a = arrival[v] + self._edge_delay(v, u, nid, placement, detour)
-                a += self._skew_penalty_scalar(placement, int(launch[v]), u)
-                if worst is None or a > worst:
-                    worst = a
-                    wpred = v
-            slack = period_ns - dm.setup[nl.cells[u].ctype] - worst
-            slacks.append(slack)
-            ends.append(u)
-            end_pred.append(wpred)
-
-        slack_arr = np.array(slacks) if slacks else np.array([period_ns])
-        wns = float(slack_arr.min())
-        tns = float(np.minimum(slack_arr, 0.0).sum())
-        worst_i = int(np.argmin(slack_arr)) if slacks else 0
-
-        crit: list[int] = []
-        if slacks:
-            crit = [ends[worst_i]]
-            seen = set(crit)  # best_pred can cycle on comb-cycle netlists
-            u = end_pred[worst_i]
-            while u >= 0 and u not in seen:
-                seen.add(u)
-                crit.append(u)
-                if self._seq[u]:
-                    break
-                u = int(best_pred[u])
-            crit.reverse()
-
-        cell_slack = None
-        if with_slacks:
-            # backward pass: required time at each cell's output pin
-            required = np.full(n, np.inf)
-            for u in range(n):
-                if not self._seq[u]:
-                    continue
-                for v, nid in self._fanin[u]:
-                    r = (
-                        period_ns
-                        - dm.setup[nl.cells[u].ctype]
-                        - self._edge_delay(v, u, nid, placement, detour)
-                    )
-                    r -= self._skew_penalty_scalar(placement, int(launch[v]), u)
-                    required[v] = min(required[v], r)
-            for u in reversed(self._topo):
-                for w, nid in self._fanout[u]:
-                    if self._seq[w]:
-                        continue  # handled above via w's fanin
-                    r = (
-                        required[w]
-                        - dm.prop.get(nl.cells[w].ctype, 0.0)
-                        - self._edge_delay(u, w, nid, placement, detour)
-                    )
-                    required[u] = min(required[u], r)
-            # sequential startpoints: pull required back through their
-            # combinational fanout (all comb required times are final now)
-            for u in range(n):
-                if not self._seq[u]:
-                    continue
-                for w, nid in self._fanout[u]:
-                    if self._seq[w]:
-                        continue
-                    r = (
-                        required[w]
-                        - dm.prop.get(nl.cells[w].ctype, 0.0)
-                        - self._edge_delay(u, w, nid, placement, detour)
-                    )
-                    required[u] = min(required[u], r)
-            with np.errstate(invalid="ignore"):
-                cell_slack = required - arrival
-            cell_slack[~np.isfinite(required)] = np.nan  # no downstream endpoint
-
-        return TimingReport(
-            period_ns=float(period_ns),
-            wns_ns=wns,
-            tns_ns=tns,
-            n_endpoints=len(slacks),
-            n_failing=int((slack_arr < 0).sum()),
-            endpoint_slack=slack_arr,
-            critical_path=crit,
-            endpoint_cells=np.array(ends, dtype=np.int64) if ends else None,
-            _end_pred=np.array(end_pred, dtype=np.int64) if ends else None,
             _best_pred=best_pred,
             cell_output_slack=cell_slack,
         )

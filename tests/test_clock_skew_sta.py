@@ -1,8 +1,8 @@
-"""Skew models through both STA engines + the skew-aware assignment term.
+"""Skew models through the STA and its loop oracle + the skew-aware assignment term.
 
 Pins three contracts:
 
-- vectorized and reference STA agree to 1e-9 under **all three**
+- the STA and its per-cell loop oracle agree to 1e-9 under **all three**
   :class:`~repro.clock.SkewModel` implementations over jittered placements;
 - the default :class:`~repro.clock.RegionSkew` reproduces the historical
   inline region-step formula bitwise (reports must not move on default
@@ -29,6 +29,10 @@ from repro.fpga import slot_fabric, small_device
 from repro.netlist import CellType, Netlist
 from repro.placers import Placement
 from repro.timing import DelayModel, StaticTimingAnalyzer
+from tests.oracles.sta import ReferenceSTA
+
+#: the production STA and its loop oracle, by the parametrize ids in use
+STA_ENGINES = {"vectorized": StaticTimingAnalyzer, "reference": ReferenceSTA}
 
 DEV = small_device(n_dsp_cols=3, dsp_rows=12)
 TREE = synthesize_htree(DEV, HTreeConfig(depth=2, jitter_ns=0.02, seed=5))
@@ -92,10 +96,10 @@ class TestEngineEquivalenceUnderSkewModels:
     def test_vectorized_matches_reference(self, case, with_slacks):
         nl, place, model_i = case
         model = _models()[model_i]
-        a = StaticTimingAnalyzer(nl, method="reference", skew_model=model).analyze(
+        a = ReferenceSTA(nl, skew_model=model).analyze(
             place, with_slacks=with_slacks
         )
-        b = StaticTimingAnalyzer(nl, method="vectorized", skew_model=model).analyze(
+        b = StaticTimingAnalyzer(nl, skew_model=model).analyze(
             place, with_slacks=with_slacks
         )
         _assert_reports_match(a, b)
@@ -105,12 +109,10 @@ class TestEngineEquivalenceUnderSkewModels:
         place = Placement(mini_accel, DEV)
         rng = np.random.default_rng(11)
         place.xy[:] = rng.uniform(0.0, [DEV.width, DEV.height], (len(mini_accel), 2))
-        a = StaticTimingAnalyzer(
-            mini_accel, method="reference", skew_model=model
-        ).analyze(place, with_slacks=True)
-        b = StaticTimingAnalyzer(
-            mini_accel, method="vectorized", skew_model=model
-        ).analyze(place, with_slacks=True)
+        a = ReferenceSTA(mini_accel, skew_model=model).analyze(place, with_slacks=True)
+        b = StaticTimingAnalyzer(mini_accel, skew_model=model).analyze(
+            place, with_slacks=True
+        )
         _assert_reports_match(a, b)
 
 
@@ -231,7 +233,7 @@ class TestSlotFabricCascadePricing:
         assert not dev.has_cascades
         nl, place = self._cascade_pair(dev)
         dm = DelayModel()
-        rep = StaticTimingAnalyzer(nl, dm, method=method).analyze(
+        rep = STA_ENGINES[method](nl, dm).analyze(
             place, period_ns=10.0
         )
         dist = float(np.abs(place.xy[0] - place.xy[1]).sum())
@@ -247,7 +249,7 @@ class TestSlotFabricCascadePricing:
         assert dev.has_cascades
         nl, place = self._cascade_pair(dev)
         dm = DelayModel()
-        rep = StaticTimingAnalyzer(nl, dm, method=method).analyze(
+        rep = STA_ENGINES[method](nl, dm).analyze(
             place, period_ns=10.0
         )
         expect = (

@@ -19,7 +19,7 @@ from repro.core.placement import AssignmentConfig, DatapathDSPAssigner
 from repro.errors import ConfigurationError
 from repro.netlist import CellType, Netlist
 from repro.placers import Placement
-from repro.solvers.mcf import min_cost_assignment
+from tests.oracles.mcf import min_cost_assignment_ssp
 
 
 # ----------------------------------------------------------------------
@@ -254,7 +254,7 @@ class TestVectorizedEquivalence:
                         arcs.append(
                             (i, int(prev_sites[i]), float(cost[i, prev_sites[i]]))
                         )
-                ref = min_cost_assignment(n, m, arcs, method="ssp")
+                ref = min_cost_assignment_ssp(n, m, arcs)
                 assigner._cand_cache.clear()
                 got = assigner._solve_engine("mcf", cost, prev_sites)
                 assert {i: int(s) for i, s in enumerate(got)} == ref
@@ -341,6 +341,12 @@ class TestConfigValidation:
             AssignmentConfig(candidate_k=0)
         with pytest.raises(ConfigurationError, match="max_neighbors"):
             AssignmentConfig(max_neighbors=0)
+
+    @pytest.mark.parametrize("bad", ["banana", "auto", ""])
+    def test_unknown_engine_rejected(self, bad):
+        # "auto" is resolved by DSPlacer before it builds an AssignmentConfig
+        with pytest.raises(ConfigurationError, match="assignment engine"):
+            AssignmentConfig(engine=bad)
 
     def test_valid_config_still_solves(self, assigner, mini_accel, small_dev):
         place = Placement(mini_accel, small_dev)

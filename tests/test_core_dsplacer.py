@@ -6,6 +6,7 @@ import pytest
 from repro.core import DSPlacer, DSPlacerConfig
 from repro.core.extraction import DatapathIdentifier, build_graph_sample
 from repro.core.placement import replace_other_components
+from repro.errors import ConfigurationError
 from repro.placers import VivadoLikePlacer
 from repro.router import GlobalRouter
 from repro.timing import StaticTimingAnalyzer
@@ -104,6 +105,24 @@ class TestConfigValidation:
             DSPlacerConfig(identification="oracle", base_placer="amf", mcf_iterations=2),
         )
         assert placer.place(mini_accel).placement.is_legal()
+
+    def test_unknown_engine_rejected_from_dict(self):
+        """``--config`` input: an unknown engine used to be accepted and then
+        fail every outer iteration, leaving a degraded prototype placement."""
+        with pytest.raises(ConfigurationError, match="assignment engine 'banana'"):
+            DSPlacerConfig.from_dict({"assignment_engine": "banana"})
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_outer_iterations_rejected_from_dict(self, bad):
+        """Zero or negative outer iterations used to return the prototype
+        placement undegraded, with no DSP placement at all."""
+        with pytest.raises(ConfigurationError, match="outer_iterations"):
+            DSPlacerConfig.from_dict({"outer_iterations": bad})
+
+    @pytest.mark.parametrize("engine", ["auto", "mcf", "lsa", "auction"])
+    def test_known_engines_accepted(self, engine):
+        cfg = DSPlacerConfig.from_dict({"assignment_engine": engine, "outer_iterations": 1})
+        assert cfg.assignment_engine == engine
 
 
 class TestIncrementalReplace:

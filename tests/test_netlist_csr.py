@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.netlist import CellType, Netlist, build_csr, get_csr, netlist_to_digraph
+from repro.netlist import CellType, Netlist, build_csr, get_csr
+from tests.oracles.graph import netlist_to_digraph
 from repro.netlist.csr import CELL_TYPE_CODES
 
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netlist import CellType, Netlist, connectivity_matrix, netlist_to_digraph, netlist_to_graph
-from repro.netlist.graph import _connectivity_matrix_loop
+from repro.netlist import CellType, Netlist, connectivity_matrix
+from tests.oracles.graph import connectivity_matrix_loop, netlist_to_digraph, netlist_to_graph
 
 
 @pytest.fixture()
@@ -124,7 +124,7 @@ class TestVectorizedAgainstLoop:
         fast = connectivity_matrix(
             nl, max_clique_degree=max_clique_degree, use_net_weights=use_net_weights
         )
-        ref = _connectivity_matrix_loop(
+        ref = connectivity_matrix_loop(
             nl, max_clique_degree=max_clique_degree, use_net_weights=use_net_weights
         )
         assert abs(fast - ref).max() < 1e-12

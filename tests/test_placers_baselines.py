@@ -1,13 +1,11 @@
-"""Baseline placer flows: Vivado-like, AMF-like, simulated annealing, refine."""
+"""Baseline placer flows: Vivado-like, AMF-like, refine."""
 
 import numpy as np
-import pytest
 
 from repro.placers import (
     AMFLikePlacer,
     Legalizer,
     Placement,
-    SimulatedAnnealingPlacer,
     VivadoLikePlacer,
     refine_sites,
 )
@@ -59,25 +57,6 @@ class TestAMFLike:
         hv = VivadoLikePlacer(seed=0, device=small_dev).place(mini_accel).hpwl()
         ha = AMFLikePlacer(seed=0, device=small_dev).place(mini_accel).hpwl()
         assert ha >= hv * 0.95  # allow a little noise on tiny designs
-
-
-class TestSimulatedAnnealing:
-    def test_legal_result(self, mini_accel, small_dev):
-        p = SimulatedAnnealingPlacer(seed=0, n_moves_per_cell=40).place(mini_accel, small_dev)
-        assert p.is_legal(), p.legality_violations()[:5]
-
-    def test_improves_from_random(self, mini_accel, small_dev, rng):
-        random_p = Placement(mini_accel, small_dev)
-        mov = mini_accel.movable_indices()
-        random_p.xy[mov] = rng.uniform(
-            [0, 0], [small_dev.width, small_dev.height], (len(mov), 2)
-        )
-        Legalizer(small_dev).legalize(random_p)
-        before = random_p.hpwl(weighted=True)
-        out = SimulatedAnnealingPlacer(seed=0, n_moves_per_cell=60).place(
-            mini_accel, small_dev, placement=random_p.copy()
-        )
-        assert out.hpwl(weighted=True) <= before
 
 
 class TestRefineSites:

@@ -1,10 +1,10 @@
-"""Batched refine engine vs the per-cell loop oracle.
+"""Batched ``refine_sites`` vs the per-cell loop oracle.
 
-The vectorized engine precomputes rest extremes, candidate verdicts, and
-owner runs at pass start, and falls back to live recomputation when moves
-invalidate them — all accept decisions must stay bitwise-identical to the
-reference, so at a fixed seed both engines visit the same cells, accept
-the same moves/swaps, and land every cell on the same site.
+``refine_sites`` precomputes rest extremes, candidate verdicts, and owner
+runs at pass start, and falls back to live recomputation when moves
+invalidate them — all accept decisions must stay bitwise-identical to
+``tests.oracles.refine``, so at a fixed seed both visit the same cells,
+accept the same moves/swaps, and land every cell on the same site.
 """
 
 import numpy as np
@@ -19,6 +19,7 @@ from repro.placers import (
     QuadraticGlobalPlacer,
     refine_sites,
 )
+from tests.oracles.refine import refine_sites_reference
 
 
 @pytest.fixture(scope="module")
@@ -32,8 +33,9 @@ def legalized(request):
 
 
 def _run(base: Placement, method: str, **kw):
+    engine = {"reference": refine_sites_reference, "vectorized": refine_sites}[method]
     p = base.copy()
-    accepted = refine_sites(p, method=method, **kw)
+    accepted = engine(p, **kw)
     return accepted, p
 
 
@@ -84,7 +86,3 @@ class TestEquivalence:
                             n_candidates=8, seed=0, movable_mask=mask)
         assert a_ref == a_vec == 0
         np.testing.assert_array_equal(p_vec.site, legalized.site)
-
-    def test_unknown_method_rejected(self, legalized):
-        with pytest.raises(ValueError, match="refine method"):
-            refine_sites(legalized.copy(), method="banana")

@@ -1,4 +1,4 @@
-"""Min-cost-flow tests: hand cases, references, properties."""
+"""Min-cost assignment tests: hand cases, the flow-network oracle, properties."""
 
 import math
 
@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from repro.solvers import MinCostFlow, min_cost_assignment
+from repro.solvers import min_cost_assignment
+from tests.oracles.mcf import MinCostFlow, min_cost_assignment_ssp
 
 
 def _lsa_optimum(cost):
@@ -90,10 +91,6 @@ class TestAssignment:
         with pytest.raises(ValueError, match="infeasible"):
             min_cost_assignment(2, 2, [(0, 0, 1.0), (1, 0, 1.0)])
 
-    def test_slot_capacity(self):
-        asg = min_cost_assignment(2, 1, [(0, 0, 1.0), (1, 0, 1.0)], slot_capacity=2)
-        assert asg == {0: 0, 1: 0}
-
     def test_empty(self):
         assert min_cost_assignment(0, 3, []) == {}
 
@@ -119,7 +116,7 @@ class TestAssignment:
         of listing order. First-wins (the pre-PR-3 behaviour) would price
         slot 0 at 5.0 in the first ordering and wrongly pick slot 1."""
         assert min_cost_assignment(1, 2, arcs) == {0: 0}
-        assert min_cost_assignment(1, 2, arcs, method="ssp") == {0: 0}
+        assert min_cost_assignment_ssp(1, 2, arcs) == {0: 0}
 
     def test_arc_arrays_input(self):
         """The DSP loop passes (agents, slots, costs) arrays, not tuples."""
@@ -136,23 +133,13 @@ class TestAssignment:
 
     def test_methods_agree_with_negative_costs(self):
         arcs = [(0, 0, -5.0), (0, 1, -1.0), (1, 0, -2.0), (1, 1, -4.0)]
-        assert min_cost_assignment(2, 2, arcs, method="lapjvsp") == {0: 0, 1: 1}
-        assert min_cost_assignment(2, 2, arcs, method="ssp") == {0: 0, 1: 1}
+        assert min_cost_assignment(2, 2, arcs) == {0: 0, 1: 1}
+        assert min_cost_assignment_ssp(2, 2, arcs) == {0: 0, 1: 1}
 
     def test_zero_cost_arcs_survive_lapjvsp(self):
         """Explicit zeros must not vanish from the sparse matching input."""
         arcs = [(0, 0, 0.0), (0, 1, 7.0), (1, 1, 0.0)]
-        assert min_cost_assignment(2, 2, arcs, method="lapjvsp") == {0: 0, 1: 1}
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="unknown assignment method"):
-            min_cost_assignment(1, 1, [(0, 0, 1.0)], method="simplex")
-
-    def test_lapjvsp_rejects_capacity(self):
-        with pytest.raises(ValueError, match="slot_capacity"):
-            min_cost_assignment(
-                2, 1, [(0, 0, 1.0), (1, 0, 1.0)], slot_capacity=2, method="lapjvsp"
-            )
+        assert min_cost_assignment(2, 2, arcs) == {0: 0, 1: 1}
 
 
 @settings(max_examples=60, deadline=None)
@@ -182,8 +169,8 @@ def test_mcf_matches_hungarian(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_ssp_matches_lapjvsp_on_sparse_arcs(data):
-    """Property: the pure-Python reference and the compiled LAPJVsp path
-    return equally cheap assignments on sparse candidate windows with
+    """Property: the successive-shortest-paths oracle and the compiled
+    LAPJVsp path return equally cheap assignments on sparse candidate windows with
     negative costs and duplicate arcs.
 
     Sparse arc sets leave some slot nodes with no incoming arc, so the
@@ -207,8 +194,8 @@ def test_ssp_matches_lapjvsp_on_sparse_arcs(data):
                     data.draw(st.floats(-20, 20, allow_nan=False)),
                 )
             )
-    ssp = min_cost_assignment(n, m, arcs, method="ssp")
-    fast = min_cost_assignment(n, m, arcs, method="lapjvsp")
+    ssp = min_cost_assignment_ssp(n, m, arcs)
+    fast = min_cost_assignment(n, m, arcs)
     best = {}
     for i, j, c in arcs:
         best[(i, j)] = min(best.get((i, j), math.inf), c)

@@ -47,41 +47,3 @@ def test_ablation_alternation(benchmark, settings, emit):
     fmax = {d: f for d, _, f, _ in results}
     # alternating at least twice should not lose to a single pass
     assert max(fmax[2], fmax[3]) >= fmax[1] * 0.97
-
-
-def test_ablation_candidate_window(benchmark, settings, emit):
-    """Ablation A3 — MCF candidate-window size K (quality/runtime trade)."""
-    device = get_device(settings)
-    netlist = get_netlist(settings, "skynet")
-    router = GlobalRouter()
-    sta = StaticTimingAnalyzer(netlist)
-
-    def sweep():
-        out = []
-        for k in (8, 48, 128):
-            placer = DSPlacer(
-                device,
-                DSPlacerConfig(
-                    identification="oracle",
-                    candidate_k=k,
-                    assignment_engine="mcf",
-                    seed=settings.seed,
-                ),
-            )
-            res = placer.place(netlist)
-            fmax = max_frequency(sta, res.placement, router.route(res.placement))
-            out.append((k, fmax, res.phase_seconds["dsp_placement"]))
-        return out
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    emit(
-        "ablation_candidates",
-        render_table(
-            ["K (candidate sites/DSP)", "f_max (MHz)", "dsp-placement time (s)"],
-            [[k, f"{f:.0f}", f"{t:.1f}"] for k, f, t in results],
-            title="Ablation A3: MCF candidate-window size.",
-        ),
-    )
-    fmax = {k: f for k, f, _ in results}
-    # wider windows can only help quality (same optimal subproblem or better)
-    assert fmax[128] >= fmax[8] * 0.95

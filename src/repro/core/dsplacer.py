@@ -46,12 +46,7 @@ from repro.core.extraction.identification import (
     DatapathIdentifier,
     IdentificationResult,
 )
-from repro.core.placement.assignment import (
-    ENGINE_FALLBACK_ORDER,
-    AssignmentConfig,
-    DatapathDSPAssigner,
-    check_engine,
-)
+from repro.core.placement.assignment import AssignmentConfig, DatapathDSPAssigner
 from repro.core.placement.incremental import replace_other_components
 from repro.core.placement.legalization import CascadeLegalizer
 from repro.errors import ConfigurationError, NetlistValidationError, ReproError
@@ -81,7 +76,8 @@ class DSPlacerConfig:
         lam: Datapath-angle trade-off λ (paper: 100).
         eta: Cascade penalty η.
         mcf_iterations: Internal MCF linearization iterations (paper: 50;
-            the loop stops early on convergence).
+            the loop stops early on convergence). Each iterate is one exact
+            dense LAPJV solve of the eq. (9) assignment.
         outer_iterations: Fig. 6 alternations between DSP placement and
             other-component placement.
     """
@@ -90,19 +86,9 @@ class DSPlacerConfig:
     base_placer: str = "vivado"
     lam: float = 100.0
     eta: float = 25.0
-    candidate_k: int = 48
     mcf_iterations: int = 50
     outer_iterations: int = 2
     iddfs_max_depth: int = 6
-    #: Per-iterate assignment solver. "mcf" = the paper's min-cost-flow
-    #: formulation (LEMON's network simplex there) over K-nearest candidate
-    #: windows, solved by scipy's sparse LAPJVsp; "lsa" = dense LAPJV on
-    #: the full cost matrix (``scipy.optimize.linear_sum_assignment``);
-    #: "auction" = this repo's vectorized ε-auction (ε-optimal; degrades to
-    #: price wars on near-tied dense rows, so not the default). All solve
-    #: the same linearized assignment — cross-checked in the tests — and
-    #: "auto" picks mcf for small instances and lsa above 64 datapath DSPs.
-    assignment_engine: str = "auto"
     #: > 0 enables the congestion-aware extension: DSP sites in overloaded
     #: routing bins are surcharged during assignment (see
     #: :class:`~repro.core.placement.AssignmentConfig`).
@@ -133,7 +119,6 @@ class DSPlacerConfig:
     stage_budget_s: float | None = None
 
     def __post_init__(self) -> None:
-        check_engine(self.assignment_engine, ("auto", *ENGINE_FALLBACK_ORDER))
         if self.outer_iterations < 1:
             raise ConfigurationError(
                 f"outer_iterations must be >= 1, got {self.outer_iterations} "
@@ -357,12 +342,7 @@ class DSPlacer:
             :class:`~repro.errors.ReproError` propagates.
         """
         cfg = self.config
-        with trace.span(
-            "place",
-            netlist=netlist.name,
-            base_placer=cfg.base_placer,
-            engine=cfg.assignment_engine,
-        ) as root:
+        with trace.span("place", netlist=netlist.name, base_placer=cfg.base_placer) as root:
             result = self._place_flow(netlist, initial_placement, sample)
             root.set(degraded=result.health.degraded)
         ob = obs_active()
@@ -457,9 +437,6 @@ class DSPlacer:
             result.phase_seconds = phases
             return result
 
-        engine = cfg.assignment_engine
-        if engine == "auto":
-            engine = "mcf" if len(datapath_dsps) <= 64 else "lsa"
         skew = self._skew_model_obj()
         assigner = DatapathDSPAssigner(
             netlist,
@@ -469,12 +446,9 @@ class DSPlacer:
             AssignmentConfig(
                 lam=cfg.lam,
                 eta=cfg.eta,
-                candidate_k=cfg.candidate_k,
                 max_iterations=cfg.mcf_iterations,
-                engine=engine,
                 congestion_weight=cfg.congestion_weight,
                 skew_weight=cfg.skew_weight,
-                seed=cfg.seed,
             ),
             skew_model=skew,
         )

@@ -17,19 +17,15 @@ cost:
 
 Each iterate is an assignment problem under constraints (4); its constraint
 matrix is totally unimodular, so the min-cost-flow solution is integral.
-The ``engine`` knob selects the MCF formulation over K-nearest candidate
-arcs (paper-faithful; solved by scipy's sparse LAPJVsp in
-:mod:`repro.solvers.mcf`), a dense LAPJV solve of the full cost matrix
-(``scipy.optimize.linear_sum_assignment``), or the ε-auction — the first
-two exact, all three cross-checked in the tests.
+:func:`repro.solvers.mcf.min_cost_assignment` solves it exactly with one
+dense LAPJV call on the full DSP × site cost matrix, cross-checked against
+a successive-shortest-paths flow network in the tests.
 
 The whole iterate is vectorized (see ``docs/PERFORMANCE.md``): neighbour
 lists live in padded ``(N, K)`` index/weight matrices built once in
 ``__init__`` and reused across all iterates, the cascade penalty is a
-scatter-add over precomputed partner index arrays, the true objective is a
-gather/einsum over a canonical DSP–DSP pair list, and per-row candidate
-windows are cached keyed on the cost-row hash so unchanged rows never
-re-run ``argpartition``.
+scatter-add over precomputed partner index arrays, and the true objective
+is a gather/einsum over a canonical DSP–DSP pair list.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
-import scipy.optimize
 
 from repro.errors import (
     ConfigurationError,
@@ -55,24 +50,6 @@ from repro.robustness.faults import maybe_fault
 from repro.robustness.guard import SolverGuard
 from repro.solvers.mcf import min_cost_assignment
 
-#: deterministic fallback order: the configured engine first, then the rest
-#: of this tuple in order (so mcf → lsa → auction, and auction → lsa → mcf)
-ENGINE_FALLBACK_ORDER = ("lsa", "mcf", "auction")
-
-
-def check_engine(engine: str, allowed: tuple[str, ...] = ENGINE_FALLBACK_ORDER) -> None:
-    """Raise :class:`ConfigurationError` unless ``engine`` is in ``allowed``."""
-    if engine not in allowed:
-        raise ConfigurationError(
-            f"unknown assignment engine {engine!r}; choose from {', '.join(allowed)}"
-        )
-
-
-def engine_chain(primary: str) -> list[str]:
-    """The deterministic engine fallback chain starting at ``primary``."""
-    check_engine(primary)
-    return [primary] + [e for e in ENGINE_FALLBACK_ORDER if e != primary]
-
 
 @dataclass(frozen=True)
 class AssignmentConfig:
@@ -86,19 +63,11 @@ class AssignmentConfig:
     lam: float = 100.0
     eta: float = 25.0
     wl_scale: float = 1e-4  # µm² → cost units (100 µm ≡ 1)
-    candidate_k: int = 48
     max_iterations: int = 50
     #: stop when the true eq. (7) objective has not improved for this many
     #: consecutive linearization iterates
     patience: int = 3
     max_neighbors: int = 32
-    #: per-iterate assignment solver: "mcf" (the paper's min-cost-flow
-    #: formulation over K-nearest candidate windows, solved by scipy's
-    #: sparse LAPJVsp), "lsa" (dense LAPJV on the full cost matrix,
-    #: ``scipy.optimize.linear_sum_assignment``), or "auction" (this
-    #: repo's ε-auction; exact to auction_tol)
-    engine: str = "mcf"
-    auction_tol: float = 1e-6
     #: extension beyond the paper: penalize sites in congested routing
     #: bins (the paper observes its compact layouts raise congestion to a
     #: "medium" level; this knob trades compactness against it). 0 = off.
@@ -109,10 +78,8 @@ class AssignmentConfig:
     #: logic under nearby clock taps. 0 = off; needs a skew model exposing
     #: per-point arrivals (HTreeSkew) to have any effect.
     skew_weight: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        check_engine(self.engine)
         if not np.isfinite(self.skew_weight) or self.skew_weight < 0.0:
             raise ConfigurationError(
                 f"skew_weight must be finite and non-negative, got {self.skew_weight!r}"
@@ -124,8 +91,6 @@ class AssignmentConfig:
             )
         if self.patience < 1:
             raise ConfigurationError(f"patience must be >= 1, got {self.patience}")
-        if self.candidate_k < 1:
-            raise ConfigurationError(f"candidate_k must be >= 1, got {self.candidate_k}")
         if self.max_neighbors < 1:
             raise ConfigurationError(
                 f"max_neighbors must be >= 1, got {self.max_neighbors}"
@@ -221,8 +186,6 @@ class DatapathDSPAssigner:
         self._pair_kp = np.array([p[0] for p in self._pairs], dtype=np.int64)
         self._pair_ks = np.array([p[1] for p in self._pairs], dtype=np.int64)
         self._rebuild_neighbor_arrays()
-        #: per-row candidate-window cache: row -> (k, cost-row hash, window)
-        self._cand_cache: dict[int, tuple[int, int, np.ndarray]] = {}
 
     def _rebuild_neighbor_arrays(self) -> None:
         """Derive the vectorized views of ``self._neighbors``.
@@ -359,112 +322,24 @@ class DatapathDSPAssigner:
             np.subtract.at(cost, (rows[ok], target[ok]), cfg.eta)
         return cost
 
-    def _solve_engine(
-        self, engine: str, cost: np.ndarray, prev_sites: np.ndarray | None
-    ) -> np.ndarray:
-        """One per-iterate assignment solve on a single named engine."""
-        cfg = self.config
-        n, m = cost.shape
-        maybe_fault(f"assignment.{engine}")
-        metrics.inc(f"assignment.solves.{engine}")
-        if engine == "lsa":
-            _, cols = scipy.optimize.linear_sum_assignment(cost)
-            return np.asarray(cols, dtype=np.int64)
-        if engine == "auction":
-            from repro.solvers.auction import auction_assignment
-
-            # relative ε: n·ε suboptimality ≈ auction_tol × cost spread.
-            # (identical PE chains produce near-tied cost rows; a much
-            # tighter ε degenerates into eps-increment price wars)
-            spread = float(cost.max() - cost.min())
-            eps = max(cfg.auction_tol, 1e-4) * spread / max(n, 1)
-            cols, _total = auction_assignment(cost, eps_min=eps if spread > 0 else None)
-            return cols
-        if engine != "mcf":
-            raise ConfigurationError(f"unknown assignment engine {engine!r}")
-        # MCF over K-nearest candidate arcs (+ previous site for feasibility)
-        k = min(cfg.candidate_k, m)
-        while True:
-            arcs = self._candidate_arcs(cost, k, prev_sites)
-            try:
-                assignment = min_cost_assignment(n, m, arcs)
-                break
-            except SolverInfeasibleError:
-                if k >= m:
-                    raise
-                k = min(m, k * 2)  # widen the candidate windows and retry
-        out = np.empty(n, dtype=np.int64)
-        for i, j in assignment.items():
-            out[i] = j
-        return out
-
-    def _candidate_arcs(
-        self, cost: np.ndarray, k: int, prev_sites: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """K-nearest candidate arc arrays, with per-row window caching.
-
-        Windows are keyed on ``(k, hash(row bytes))``: a cost row that is
-        bit-identical to the previous solve (e.g. a DSP whose neighbourhood
-        and cascade pulls did not move between iterates) reuses its cached
-        ``argpartition`` result instead of re-ranking all M sites. Any stale
-        rows are re-partitioned together in one batched call.
-        """
-        n, m = cost.shape
-        digests = [hash(cost[i].tobytes()) for i in range(n)]
-        cand = np.empty((n, k), dtype=np.int64)
-        stale = []
-        for i in range(n):
-            hit = self._cand_cache.get(i)
-            if hit is not None and hit[0] == k and hit[1] == digests[i]:
-                cand[i] = hit[2]
-            else:
-                stale.append(i)
-        metrics.inc("assignment.cand_cache.hits", n - len(stale))
-        metrics.inc("assignment.cand_cache.misses", len(stale))
-        if stale:
-            rows = np.asarray(stale, dtype=np.int64)
-            fresh = np.argpartition(cost[rows], k - 1, axis=1)[:, :k]
-            cand[rows] = fresh
-            for i, window in zip(stale, fresh):
-                self._cand_cache[i] = (k, digests[i], window.copy())
-        agents = np.repeat(np.arange(n, dtype=np.int64), k)
-        slots = cand.reshape(-1)
-        if prev_sites is not None:
-            prev_rows = np.flatnonzero(prev_sites >= 0)
-            agents = np.concatenate([agents, prev_rows])
-            slots = np.concatenate([slots, prev_sites[prev_rows]])
-        return agents, slots, cost[agents, slots]
-
     def _solve_once(
-        self,
-        cost: np.ndarray,
-        prev_sites: np.ndarray | None,
-        guard: SolverGuard | None = None,
+        self, cost: np.ndarray, guard: SolverGuard | None = None
     ) -> np.ndarray:
-        """One per-iterate solve with the deterministic engine fallback chain.
+        """One per-iterate solve of the linearized assignment.
 
-        A failing engine (e.g. the auction's non-convergence) degrades to
-        the next engine in :func:`engine_chain` instead of killing the run;
-        with a guard the fallback is recorded in its
-        :class:`~repro.robustness.RunHealth` and the stage budget is
-        enforced between attempts.
+        With a guard the solve runs as a one-attempt chain: a failure is
+        recorded in its :class:`~repro.robustness.RunHealth` before it
+        propagates, and an overrun is noted against the stage budget.
         """
-        chain = engine_chain(self.config.engine)
-        attempts = [
-            (engine, lambda e=engine: self._solve_engine(e, cost, prev_sites))
-            for engine in chain
-        ]
-        if guard is not None:
-            _, sites = guard.run(attempts)
-            return sites
-        last: SolverError | None = None
-        for _, thunk in attempts:
-            try:
-                return thunk()
-            except SolverError as exc:
-                last = exc
-        assert last is not None
-        raise last
+
+        def attempt() -> np.ndarray:
+            maybe_fault("assignment.solve")
+            return min_cost_assignment(cost)
+
+        if guard is None:
+            return attempt()
+        _, sites = guard.run([("mcf", attempt)])
+        return sites
 
     # ------------------------------------------------------------------
     def objective(self, sites: np.ndarray, placement: Placement) -> float:
@@ -508,8 +383,8 @@ class DatapathDSPAssigner:
         placement's coordinates are updated to the assigned sites (callers
         still must run cascade legalization — the η term is soft).
 
-        With a ``guard``, every per-iterate solve runs under its fallback
-        chain and the loop honours the stage's wall-clock budget: once the
+        With a ``guard``, every per-iterate solve records its failures in
+        the guard's health log and the loop honours the stage's wall-clock budget: once the
         budget is exhausted the best-so-far assignment is returned (or, if
         there is none yet, :class:`~repro.errors.StageBudgetExceeded` is
         raised).
@@ -534,8 +409,8 @@ class DatapathDSPAssigner:
             with trace.span("assignment.iterate", i=iters) as it_sp:
                 with trace.span("assignment.cost_matrix"):
                     cost = self.cost_matrix(place, prev_sites)
-                with trace.span("assignment.solve", engine=cfg.engine):
-                    sites = self._solve_once(cost, prev_sites, guard)
+                with trace.span("assignment.solve"):
+                    sites = self._solve_once(cost, guard)
                 with trace.span("assignment.objective"):
                     true_obj = self.objective(sites, placement)
                 it_sp.set(objective=true_obj)

@@ -104,9 +104,9 @@ def run_hotpaths(
     """Run the hot paths once and return the bench document.
 
     The assignment workload places ``suite`` at ``scale`` on the full
-    ZCU104 fabric with the paper-faithful MCF engine; the feature-extraction
-    workload regenerates the suite at ``features_scale`` so it exercises the
-    exact (sub-``exact_threshold``) centrality path.
+    ZCU104 fabric, one dense LAPJV solve per linearization iterate; the
+    feature-extraction workload regenerates the suite at ``features_scale``
+    so it exercises the exact (sub-``exact_threshold``) centrality path.
     """
     # imports are local so `repro.obs` never depends on the flow packages
     from repro.accelgen import generate_suite
@@ -141,7 +141,7 @@ def run_hotpaths(
             dev,
             dgraph,
             dsps,
-            AssignmentConfig(max_iterations=max_iterations, seed=seed),
+            AssignmentConfig(max_iterations=max_iterations),
         )
         _, iterates = assigner.solve(place.copy())
         extract_node_features(feat_netlist)

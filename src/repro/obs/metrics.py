@@ -4,7 +4,7 @@ Instrumented code records through the ambient module-level helpers::
 
     from repro.obs import metrics
 
-    metrics.inc("mcf.arcs", len(arcs))          # monotonic counter
+    metrics.inc("mcf.solves")                   # monotonic counter
     metrics.gauge("router.wirelength_um", wl)   # last-value-wins
     metrics.observe("assignment.objective", o)  # streaming histogram
 

@@ -2,7 +2,8 @@
 oracle of ``min_cost_assignment``.
 
 Dijkstra runs on non-negative reduced costs; an initial Bellman-Ford pass
-absorbs negative edge costs.
+absorbs negative edge costs. The oracle takes a sparse ``(agent, slot,
+cost)`` arc list; the production solver takes the equivalent dense matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +14,33 @@ import math
 import numpy as np
 
 from repro.errors import SolverInfeasibleError, SolverInputError
-from repro.solvers.mcf import ArcArrays, _normalize_arcs
+
+ArcArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _normalize_arcs(
+    n_agents: int, n_slots: int, arcs: list[tuple[int, int, float]] | ArcArrays
+) -> ArcArrays:
+    """Validate arcs and deduplicate ``(agent, slot)`` keys keeping the
+    *minimum* cost, whatever the listing order."""
+    if isinstance(arcs, tuple) and len(arcs) == 3:
+        agents = np.asarray(arcs[0], dtype=np.int64)
+        slots = np.asarray(arcs[1], dtype=np.int64)
+        costs = np.asarray(arcs[2], dtype=np.float64)
+    else:
+        agents = np.fromiter((a for a, _, _ in arcs), dtype=np.int64, count=len(arcs))
+        slots = np.fromiter((s for _, s, _ in arcs), dtype=np.int64, count=len(arcs))
+        costs = np.fromiter((c for _, _, c in arcs), dtype=np.float64, count=len(arcs))
+    bad = np.flatnonzero(
+        (agents < 0) | (agents >= n_agents) | (slots < 0) | (slots >= n_slots)
+    )
+    if bad.size:
+        raise IndexError(f"arc ({agents[bad[0]]}, {slots[bad[0]]}) out of range")
+    order = np.lexsort((costs, slots, agents))
+    agents, slots, costs = agents[order], slots[order], costs[order]
+    keep = np.ones(agents.size, dtype=bool)
+    keep[1:] = (agents[1:] != agents[:-1]) | (slots[1:] != slots[:-1])
+    return agents[keep], slots[keep], costs[keep]
 
 
 class MinCostFlow:
@@ -138,8 +165,9 @@ def min_cost_assignment_ssp(
     n_slots: int,
     arcs: list[tuple[int, int, float]] | ArcArrays,
 ) -> dict[int, int]:
-    """Same inputs and result as ``min_cost_assignment``, solved as a
-    unit-capacity flow network source → agents → slots → sink."""
+    """``{agent: slot}`` of minimum total cost over the listed arcs, solved
+    as a unit-capacity flow network source → agents → slots → sink.
+    Duplicate ``(agent, slot)`` arcs keep the minimum cost."""
     if n_agents == 0:
         return {}
     agents, slots, costs = _normalize_arcs(n_agents, n_slots, arcs)

@@ -2,8 +2,8 @@
 
 The vectorized ``cost_matrix``/``objective`` are checked against
 loop-reference implementations (the pre-vectorization code, kept here as
-the ground truth) to 1e-9 on seeded instances, the per-iterate MCF solve is
-checked to produce *identical assignments* before/after vectorization, and
+the ground truth) to 1e-9 on seeded instances, the per-iterate dense solve
+is checked to produce *identical assignments* to the flow-network oracle, and
 the `AssignmentConfig` validation plus the DSP–DSP half-counting fix get
 dedicated regressions.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.core.extraction import build_dsp_graph, iddfs_dsp_paths, prune_control_dsps
 from repro.core.placement import AssignmentConfig, DatapathDSPAssigner
 from repro.errors import ConfigurationError
@@ -226,16 +225,14 @@ class TestVectorizedEquivalence:
         )
 
     def test_identical_assignments_before_after(self, assigner, mini_accel, small_dev):
-        """The vectorized candidate/arc path must pick the same assignment
-        as the pre-PR tuple-loop + successive-shortest-paths path.
+        """The dense per-iterate solve must pick the same assignment as the
+        successive-shortest-paths flow network over the complete arc set.
 
         A deterministic jitter makes every optimum unique so the check is
         exact rather than cost-equal-only.
         """
-        cfg = assigner.config
         n = len(assigner.dsps)
         m = assigner.site_xy.shape[0]
-        k = min(cfg.candidate_k, m)
         for inst, (place, prev) in enumerate(
             _seeded_instances(assigner, mini_accel, small_dev)
         ):
@@ -243,49 +240,10 @@ class TestVectorizedEquivalence:
             for prev_sites in (None, prev):
                 cost = assigner.cost_matrix(place, prev_sites)
                 cost = cost + rng.uniform(0.0, 1e-6, size=cost.shape)
-                # pre-PR arc construction: per-row python loops, first-wins
-                # duplicates resolved by the (now min-cost) dedupe
-                arcs = []
-                for i in range(n):
-                    cand = np.argpartition(cost[i], k - 1)[:k]
-                    for j in cand:
-                        arcs.append((i, int(j), float(cost[i, j])))
-                    if prev_sites is not None and prev_sites[i] >= 0:
-                        arcs.append(
-                            (i, int(prev_sites[i]), float(cost[i, prev_sites[i]]))
-                        )
+                arcs = [(i, j, float(cost[i, j])) for i in range(n) for j in range(m)]
                 ref = min_cost_assignment_ssp(n, m, arcs)
-                assigner._cand_cache.clear()
-                got = assigner._solve_engine("mcf", cost, prev_sites)
+                got = assigner._solve_once(cost)
                 assert {i: int(s) for i, s in enumerate(got)} == ref
-
-
-class TestCandidateCache:
-    def test_unchanged_rows_hit_cache(self, assigner, mini_accel, small_dev):
-        place, _ = next(_seeded_instances(assigner, mini_accel, small_dev))
-        cost = assigner.cost_matrix(place, None)
-        assigner._cand_cache.clear()
-        with obs.observe() as ob:
-            first = assigner._solve_engine("mcf", cost, None)
-            second = assigner._solve_engine("mcf", cost, None)
-        counters = ob.metrics.to_dict()["counters"]
-        n = len(assigner.dsps)
-        assert counters["assignment.cand_cache.misses"] == n
-        assert counters["assignment.cand_cache.hits"] == n
-        assert np.array_equal(first, second)
-
-    def test_changed_row_recomputed(self, assigner, mini_accel, small_dev):
-        place, _ = next(_seeded_instances(assigner, mini_accel, small_dev))
-        cost = assigner.cost_matrix(place, None)
-        assigner._cand_cache.clear()
-        assigner._solve_engine("mcf", cost, None)
-        bumped = cost.copy()
-        bumped[0] += 1.0
-        with obs.observe() as ob:
-            assigner._solve_engine("mcf", bumped, None)
-        counters = ob.metrics.to_dict()["counters"]
-        assert counters["assignment.cand_cache.misses"] == 1
-        assert counters["assignment.cand_cache.hits"] == len(assigner.dsps) - 1
 
 
 class TestHalfCountingFix:
@@ -337,16 +295,8 @@ class TestConfigValidation:
     def test_other_knobs_rejected(self):
         with pytest.raises(ConfigurationError, match="patience"):
             AssignmentConfig(patience=0)
-        with pytest.raises(ConfigurationError, match="candidate_k"):
-            AssignmentConfig(candidate_k=0)
         with pytest.raises(ConfigurationError, match="max_neighbors"):
             AssignmentConfig(max_neighbors=0)
-
-    @pytest.mark.parametrize("bad", ["banana", "auto", ""])
-    def test_unknown_engine_rejected(self, bad):
-        # "auto" is resolved by DSPlacer before it builds an AssignmentConfig
-        with pytest.raises(ConfigurationError, match="assignment engine"):
-            AssignmentConfig(engine=bad)
 
     def test_valid_config_still_solves(self, assigner, mini_accel, small_dev):
         place = Placement(mini_accel, small_dev)

@@ -112,8 +112,14 @@ class TestConfigRoundTrip:
         assert cfg.outer_iterations == DSPlacerConfig().outer_iterations
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown"):
-            DSPlacerConfig.from_dict({"seed": 1, "turbo": True})
+        # the last two are removed knobs: old --config files must fail loudly
+        for doc in (
+            {"seed": 1, "turbo": True},
+            {"assignment_engine": "lsa"},
+            {"candidate_k": 48},
+        ):
+            with pytest.raises(ConfigurationError, match="unknown"):
+                DSPlacerConfig.from_dict(doc)
 
     def test_non_dict_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -1,8 +1,8 @@
 """Chaos suite: deterministic fault injection proves every fallback engages.
 
-Covers the acceptance paths: (a) auction failure → lsa fallback, (b) ILP
-blowup → greedy inter-column fallback, (c) stage failure → rollback to the
-best-so-far placement, (d) budget exhaustion → degraded-but-legal result —
+Covers the acceptance paths: (a) ILP blowup → greedy inter-column
+fallback, (b) stage failure → rollback to the best-so-far placement, (c)
+budget exhaustion → degraded-but-legal result —
 plus strict-mode re-raises and unit coverage of the guard/injector/health
 primitives themselves.
 """
@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from repro.core import DSPlacer, DSPlacerConfig
-from repro.core.placement.assignment import engine_chain
 from repro.errors import (
     ReproError,
     SolverConvergenceError,
@@ -37,37 +36,8 @@ def _place(small_dev, mini_accel, **over):
     return placer.place(mini_accel)
 
 
-class TestAuctionFallback:
-    """(a) auction non-convergence degrades to lsa instead of crashing."""
-
-    def test_auction_failure_falls_back_to_lsa(self, small_dev, mini_accel):
-        fi = FaultInjector().fail_on("assignment.auction", call=EVERY_CALL)
-        with inject(fi):
-            res = _place(small_dev, mini_accel, assignment_engine="auction")
-        assert res.placement.is_legal()
-        assert fi.calls("assignment.auction") >= 1
-        assert fi.calls("assignment.lsa") >= 1  # the fallback actually ran
-        fallbacks = [e for e in res.health.events if e.kind == "fallback"]
-        assert any("auction → lsa" in e.detail for e in fallbacks)
-
-    def test_chain_orders_are_deterministic(self):
-        assert engine_chain("mcf") == ["mcf", "lsa", "auction"]
-        assert engine_chain("auction") == ["auction", "lsa", "mcf"]
-        assert engine_chain("lsa") == ["lsa", "mcf", "auction"]
-
-    def test_real_auction_nonconvergence_is_typed(self):
-        """The satellite bug: auction's failure must be catchable as SolverError."""
-        import numpy as np
-
-        from repro.solvers.auction import auction_assignment
-
-        cost = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(SolverError):
-            auction_assignment(cost, max_rounds=0)
-
-
 class TestLegalizationFallback:
-    """(b) inter-column ILP blowup degrades to the greedy packer."""
+    """(a) inter-column ILP blowup degrades to the greedy packer."""
 
     def test_ilp_fault_falls_back_to_greedy(self, small_dev, mini_accel):
         fi = FaultInjector().fail_on("legalization.ilp", call=EVERY_CALL)
@@ -82,7 +52,7 @@ class TestLegalizationFallback:
 
 
 class TestRollback:
-    """(c) a failing stage rolls the run back to the best-so-far placement."""
+    """(b) a failing stage rolls the run back to the best-so-far placement."""
 
     def test_incremental_failure_rolls_back(self, small_dev, mini_accel):
         fi = FaultInjector().fail_on("incremental", call=1)
@@ -95,9 +65,7 @@ class TestRollback:
     def test_all_assignment_engines_down_still_returns_legal(
         self, small_dev, mini_accel
     ):
-        fi = FaultInjector()
-        for engine in ("mcf", "lsa", "auction"):
-            fi.fail_on(f"assignment.{engine}", call=EVERY_CALL)
+        fi = FaultInjector().fail_on("assignment.solve", call=EVERY_CALL)
         with inject(fi):
             res = _place(small_dev, mini_accel)
         assert res.placement.is_legal()  # the prototype checkpoint survives
@@ -105,9 +73,7 @@ class TestRollback:
         assert res.health.n_rollbacks >= 1
 
     def test_strict_mode_raises_instead(self, small_dev, mini_accel):
-        fi = FaultInjector()
-        for engine in ("mcf", "lsa", "auction"):
-            fi.fail_on(f"assignment.{engine}", call=EVERY_CALL)
+        fi = FaultInjector().fail_on("assignment.solve", call=EVERY_CALL)
         with inject(fi):
             with pytest.raises(SolverError):
                 _place(small_dev, mini_accel, strict=True)
@@ -120,10 +86,10 @@ class TestRollback:
 
 
 class TestBudget:
-    """(d) stage budget exhaustion truncates work but stays legal."""
+    """(c) stage budget exhaustion truncates work but stays legal."""
 
     def test_stalled_assignment_degrades_legally(self, small_dev, mini_accel):
-        fi = FaultInjector().stall_on("assignment.mcf", call=1, seconds=0.25)
+        fi = FaultInjector().stall_on("assignment.solve", call=1, seconds=0.25)
         with inject(fi):
             res = _place(small_dev, mini_accel, stage_budget_s=0.05)
         assert res.placement.is_legal()
@@ -131,7 +97,7 @@ class TestBudget:
         assert res.health.n_budget_hits >= 1
 
     def test_strict_budget_raises(self, small_dev, mini_accel):
-        fi = FaultInjector().stall_on("assignment.mcf", call=1, seconds=0.25)
+        fi = FaultInjector().stall_on("assignment.solve", call=1, seconds=0.25)
         with inject(fi):
             with pytest.raises(StageBudgetExceeded):
                 _place(small_dev, mini_accel, stage_budget_s=0.05, strict=True)

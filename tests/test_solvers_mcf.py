@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from repro.errors import SolverError, SolverInfeasibleError
 from repro.solvers import min_cost_assignment
 from tests.oracles.mcf import MinCostFlow, min_cost_assignment_ssp
 
@@ -78,34 +79,67 @@ class TestMinCostFlowBasics:
             net.add_edge(0, 1, -1, 1.0)
 
 
+INF = math.inf
+
+
 class TestAssignment:
     def test_simple(self):
-        asg = min_cost_assignment(2, 2, [(0, 0, 1.0), (0, 1, 9.0), (1, 0, 9.0), (1, 1, 1.0)])
-        assert asg == {0: 0, 1: 1}
+        cols = min_cost_assignment(np.array([[1.0, 9.0], [9.0, 1.0]]))
+        assert cols.tolist() == [0, 1]
+        assert cols.dtype == np.int64
 
     def test_forced_expensive(self):
-        asg = min_cost_assignment(2, 2, [(0, 0, 1.0), (0, 1, 2.0), (1, 0, 1.0)])
-        assert asg == {0: 1, 1: 0}  # agent 1 can only take slot 0
+        # +inf forbids a pairing: row 1 can only take column 0
+        cols = min_cost_assignment(np.array([[1.0, 2.0], [1.0, INF]]))
+        assert cols.tolist() == [1, 0]
 
     def test_infeasible_raises(self):
-        with pytest.raises(ValueError, match="infeasible"):
-            min_cost_assignment(2, 2, [(0, 0, 1.0), (1, 0, 1.0)])
+        with pytest.raises(SolverInfeasibleError, match="infeasible"):
+            min_cost_assignment(np.array([[1.0, INF], [1.0, INF]]))
 
     def test_empty(self):
-        assert min_cost_assignment(0, 3, []) == {}
+        assert min_cost_assignment(np.zeros((0, 3))).tolist() == []
+
+    def test_more_rows_than_columns_infeasible(self):
+        """scipy would assign only ``m`` of the rows; the contract is that
+        every row gets a column or the solve fails."""
+        with pytest.raises(SolverInfeasibleError, match="exceed"):
+            min_cost_assignment(np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, -INF])
+    def test_non_finite_cost_is_typed(self, bad):
+        """A NaN or -inf cost makes scipy raise ValueError; it must surface
+        as a SolverError the assignment stage's guard can record."""
+        cost = np.array([[1.0, 2.0], [bad, 1.0]])
+        with pytest.raises(SolverInfeasibleError, match="invalid numeric"):
+            min_cost_assignment(cost)
+        assert issubclass(SolverInfeasibleError, SolverError)
+
+    def test_agent_without_arcs_infeasible(self):
+        with pytest.raises(SolverInfeasibleError, match="infeasible"):
+            min_cost_assignment(np.array([[1.0, 1.0], [INF, INF]]))
+        with pytest.raises(SolverInfeasibleError, match="infeasible"):
+            min_cost_assignment_ssp(2, 2, [(0, 0, 1.0), (0, 1, 1.0)])
+
+    def test_methods_agree_with_negative_costs(self):
+        cost = np.array([[-5.0, -1.0], [-2.0, -4.0]])
+        arcs = [(i, j, float(cost[i, j])) for i in range(2) for j in range(2)]
+        assert min_cost_assignment(cost).tolist() == [0, 1]
+        assert min_cost_assignment_ssp(2, 2, arcs) == {0: 0, 1: 1}
+
+    # the SSP oracle's sparse-arc input handling
 
     def test_out_of_range_arc(self):
         with pytest.raises(IndexError):
-            min_cost_assignment(1, 1, [(0, 5, 1.0)])
+            min_cost_assignment_ssp(1, 1, [(0, 5, 1.0)])
 
     def test_duplicate_arcs_collapse(self):
-        asg = min_cost_assignment(1, 1, [(0, 0, 1.0), (0, 0, 99.0)])
-        assert asg == {0: 0}
+        assert min_cost_assignment_ssp(1, 1, [(0, 0, 1.0), (0, 0, 99.0)]) == {0: 0}
 
     @pytest.mark.parametrize(
         "arcs",
         [
-            # cheap duplicate listed last (the order that used to lose)
+            # cheap duplicate listed last
             [(0, 0, 5.0), (0, 1, 3.0), (0, 0, 1.0)],
             # cheap duplicate listed first
             [(0, 0, 1.0), (0, 1, 3.0), (0, 0, 5.0)],
@@ -113,42 +147,21 @@ class TestAssignment:
     )
     def test_duplicate_arcs_keep_min_cost(self, arcs):
         """A duplicate (agent, slot) arc keeps the *minimum* cost regardless
-        of listing order. First-wins (the pre-PR-3 behaviour) would price
-        slot 0 at 5.0 in the first ordering and wrongly pick slot 1."""
-        assert min_cost_assignment(1, 2, arcs) == {0: 0}
+        of listing order; first-wins would price slot 0 at 5.0 in the first
+        ordering and wrongly pick slot 1."""
         assert min_cost_assignment_ssp(1, 2, arcs) == {0: 0}
 
     def test_arc_arrays_input(self):
-        """The DSP loop passes (agents, slots, costs) arrays, not tuples."""
         arcs = (
             np.array([0, 0, 1, 1]),
             np.array([0, 1, 0, 1]),
             np.array([1.0, 9.0, 9.0, 1.0]),
         )
-        assert min_cost_assignment(2, 2, arcs) == {0: 0, 1: 1}
-
-    def test_agent_without_arcs_infeasible(self):
-        with pytest.raises(ValueError, match="no candidate arc"):
-            min_cost_assignment(2, 2, [(0, 0, 1.0), (0, 1, 1.0)])
-
-    def test_methods_agree_with_negative_costs(self):
-        arcs = [(0, 0, -5.0), (0, 1, -1.0), (1, 0, -2.0), (1, 1, -4.0)]
-        assert min_cost_assignment(2, 2, arcs) == {0: 0, 1: 1}
         assert min_cost_assignment_ssp(2, 2, arcs) == {0: 0, 1: 1}
 
-    def test_zero_cost_arcs_survive_lapjvsp(self):
-        """Explicit zeros must not vanish from the sparse matching input."""
-        arcs = [(0, 0, 0.0), (0, 1, 7.0), (1, 1, 0.0)]
-        assert min_cost_assignment(2, 2, arcs) == {0: 0, 1: 1}
 
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_mcf_matches_hungarian(data):
-    """Property: MCF assignment cost equals the ``linear_sum_assignment`` optimum."""
-    n = data.draw(st.integers(1, 6))
-    m = data.draw(st.integers(n, 7))
-    cost = np.array(
+def _cost_matrix(data, n, m):
+    return np.array(
         data.draw(
             st.lists(
                 st.lists(st.floats(-20, 20, allow_nan=False), min_size=m, max_size=m),
@@ -157,54 +170,42 @@ def test_mcf_matches_hungarian(data):
             )
         )
     )
-    arcs = [(i, j, float(cost[i, j])) for i in range(n) for j in range(m)]
-    asg = min_cost_assignment(n, m, arcs)
-    assert sorted(asg) == list(range(n))
-    assert len(set(asg.values())) == n
-    got = sum(cost[i, asg[i]] for i in range(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mcf_matches_hungarian(data):
+    """Property: the assignment is a full row → distinct-column map whose
+    cost equals the ``linear_sum_assignment`` optimum."""
+    n = data.draw(st.integers(1, 6))
+    m = data.draw(st.integers(n, 7))
+    cost = _cost_matrix(data, n, m)
+    cols = min_cost_assignment(cost)
+    assert cols.shape == (n,)
+    assert len(set(cols.tolist())) == n
+    got = float(cost[np.arange(n), cols].sum())
     ref = _lsa_optimum(cost)
     assert got == pytest.approx(ref, abs=1e-6)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_ssp_matches_lapjvsp_on_sparse_arcs(data):
-    """Property: the successive-shortest-paths oracle and the compiled
-    LAPJVsp path return equally cheap assignments on sparse candidate windows with
-    negative costs and duplicate arcs.
-
-    Sparse arc sets leave some slot nodes with no incoming arc, so the
-    initial Bellman-Ford pass finds them unreachable and defaults their
-    potential to 0.0 — this property pins down that those defaults never
-    corrupt the reduced costs (an unreachable node can only stay
-    unreachable as residual capacity shrinks during the successive
-    shortest paths).
-    """
+def test_ssp_matches_dense_assignment(data):
+    """Property: the successive-shortest-paths oracle over the complete
+    arc set and the dense LAPJV solve return equally cheap assignments,
+    negative costs included."""
     n = data.draw(st.integers(1, 6))
     m = data.draw(st.integers(n, 8))
-    arcs = []
-    for i in range(n):
-        # a guaranteed distinct slot per agent keeps the instance feasible
-        arcs.append((i, i, data.draw(st.floats(-20, 20, allow_nan=False))))
-        for _ in range(data.draw(st.integers(0, 4))):
-            arcs.append(
-                (
-                    i,
-                    data.draw(st.integers(0, m - 1)),
-                    data.draw(st.floats(-20, 20, allow_nan=False)),
-                )
-            )
+    cost = _cost_matrix(data, n, m)
+    arcs = [(i, j, float(cost[i, j])) for i in range(n) for j in range(m)]
     ssp = min_cost_assignment_ssp(n, m, arcs)
-    fast = min_cost_assignment(n, m, arcs)
-    best = {}
-    for i, j, c in arcs:
-        best[(i, j)] = min(best.get((i, j), math.inf), c)
-    for asg in (ssp, fast):
-        assert sorted(asg) == list(range(n))
-        assert len(set(asg.values())) == n
-    cost_ssp = sum(best[(i, j)] for i, j in ssp.items())
-    cost_fast = sum(best[(i, j)] for i, j in fast.items())
-    assert cost_ssp == pytest.approx(cost_fast, abs=1e-6)
+    cols = min_cost_assignment(cost)
+    assert sorted(ssp) == list(range(n))
+    assert len(set(ssp.values())) == n
+    assert len(set(cols.tolist())) == n
+    cost_ssp = sum(cost[i, j] for i, j in ssp.items())
+    cost_dense = float(cost[np.arange(n), cols].sum())
+    assert cost_ssp == pytest.approx(cost_dense, abs=1e-6)
 
 
 @settings(max_examples=30, deadline=None)
